@@ -56,15 +56,19 @@ def filter_drift(model: RegimeModel, phi: FloatArray) -> FloatArray:
 
 def filter_diffusion(model: RegimeModel, phi: FloatArray, pi) -> FloatArray:
     """Per-coordinate noise loading sqrt(pi) * phi_i * (zeta_i - zeta_bar)."""
+    phi = np.asarray(phi, dtype=np.float64)
+    return _loading(model, phi, full_belief(phi, m=model.m), pi)
+
+
+def _loading(model: RegimeModel, phi: FloatArray, full: FloatArray, pi):
     pi_arr = np.asarray(pi, dtype=np.float64)
     if np.any(pi_arr < model.attention_min - _ATOL) or \
             np.any(pi_arr > model.attention_max + _ATOL):
         raise DomainError(
             f"attention outside [{model.attention_min}, {model.attention_max}]")
-    phi = np.asarray(phi, dtype=np.float64)
-    zbar = zeta_bar(model, phi)
+    zbar = full @ model.signal_levels
     head = model.signal_levels[: model.m - 1]
-    return np.sqrt(pi_arr)[..., None] * phi * (head - np.asarray(zbar)[..., None])
+    return np.sqrt(pi_arr)[..., None] * phi * (head - zbar[..., None])
 
 
 def project_simplex(phi: FloatArray) -> FloatArray:
@@ -88,7 +92,9 @@ def filter_step(model: RegimeModel, phi: FloatArray, pi, dw, h: float) -> FloatA
     """
     if not h > 0:
         raise DomainError("step size h must be > 0")
-    drift = filter_drift(model, phi)
-    diff = filter_diffusion(model, phi, pi)
+    phi = np.asarray(phi, dtype=np.float64)
+    full = full_belief(phi, m=model.m)          # validated once per step
+    diff = _loading(model, phi, full, pi)
+    drift = (full @ model.generator)[..., : model.m - 1]
     proposed = phi + drift * h + diff * np.asarray(dw, dtype=np.float64)[..., None]
     return project_simplex(proposed)

@@ -229,14 +229,14 @@ class Lattice:
         ix = np.clip(np.rint((x - self.spec.x_min) / h1).astype(np.int64),
                      0, self.n_x - 1)
         w = np.clip(np.rint(phi / h1).astype(np.int64), 0, self.K)
-        excess = w.sum(axis=1) - self.K
-        bad = np.nonzero(excess > 0)[0]
-        for b in bad:
-            need = int(excess[b])
+        # column sums: exact in int64, cheaper than short-row reductions
+        excess = sum(w.T) - self.K
+        for b in np.flatnonzero(excess > 0):
             row = w[b]
-            for _ in range(need):
+            for _ in range(int(excess[b])):
                 row[int(np.argmax(row))] -= 1
-        return self.index_of(ix, w)
+        key = sum(w.T * self._strides[:, None])
+        return ix * self.n_phi + self._phi_row[key]
 
 
 def build_grid(spec: GridSpec, m: int) -> Lattice:

@@ -14,13 +14,15 @@ matrix exponential of the generator transpose: the belief mean follows
 the forward equation regardless of the attention level.
 
 Randomness contract: path ``i`` of a run with seed ``s`` draws from the
-generator seeded with ``(s, i)``, so results do not depend on batching or
-scheduling and identical seeds reproduce identical summaries.
+generator seeded with ``(s, i)``, so paths do not depend on batching and
+identical seeds reproduce identical summaries.  Paths run in batches; one
+batch of streams (at most ~150 MB) is held at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -44,15 +46,7 @@ class McSummary:
     boundary_hits: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_paths": self.n_paths,
-            "mean_XT": self.mean_XT,
-            "var_XT": self.var_XT,
-            "objective": self.objective,
-            "se_mean": self.se_mean,
-            "se_var": self.se_var,
-            "boundary_hits": self.boundary_hits,
-        }
+        return asdict(self)
 
 
 def compose_objective(mean: float, var: float, gamma: float, convention: str) -> float:
@@ -91,28 +85,21 @@ def write_terminal_csv(path, samples: FloatArray) -> None:
             fh.write(repr(float(v)) + "\n")
 
 
-def _batches(n_paths: int, batch_size: int):
-    start = 0
-    while start < n_paths:
-        yield start, min(batch_size, n_paths - start)
-        start += batch_size
+def _batches(n_paths: int, batch_size: int) -> list[tuple[int, int]]:
+    """``(first, count)`` per batch; called before any path is simulated."""
+    if n_paths < 2 or batch_size < 1:
+        raise DomainError("need n_paths >= 2 and batch_size >= 1, got "
+                          f"{n_paths} and {batch_size}")
+    return [(first, min(batch_size, n_paths - first))
+            for first in range(0, n_paths, batch_size)]
 
 
-def _path_normals(seed: int, first: int, count: int, n_steps: int,
-                  n_cols: int) -> FloatArray:
-    """Gaussian increments for paths first..first+count-1, one stream each."""
-    out = np.empty((count, n_steps, n_cols))
+def _path_streams(seed: int, first: int, count: int, shape: tuple,
+                  draw: str) -> FloatArray:
+    """Rows of ``Generator.<draw>`` output, path ``i`` seeded ``(seed, i)``."""
+    out = np.empty((count, *shape))
     for j in range(count):
-        rng = np.random.default_rng([seed, first + j])
-        out[j] = rng.standard_normal((n_steps, n_cols))
-    return out
-
-
-def _path_uniforms(seed: int, first: int, count: int, n_steps: int) -> FloatArray:
-    out = np.empty((count, n_steps))
-    for j in range(count):
-        rng = np.random.default_rng([seed, first + j])
-        out[j] = rng.random(n_steps)
+        getattr(np.random.default_rng([seed, first + j]), draw)(out=out[j])
     return out
 
 
@@ -125,9 +112,8 @@ class FeedbackPolicy:
 
     def __call__(self, t: float, x: FloatArray, phi: FloatArray):
         f = self.fields
-        n = min(int(np.floor(t / f.spec.h2 + 1e-9)), f.spec.n_steps - 1)
-        nodes = f.lat.nearest_node(x, phi)
-        idx = f.policy[n, nodes]
+        n = min(math.floor(t / f.spec.h2 + 1e-9), f.spec.n_steps - 1)
+        idx = f.policy[n][f.lat.nearest_node(x, phi)]
         return self.u_all[idx], self.pi_all[idx]
 
 
@@ -162,35 +148,39 @@ def simulate_sde(model: RegimeModel, policy, t0: float, x0: float,
     sqrt_h2 = np.sqrt(h2)
     lo, hi = x_bounds
     # keep per-batch increment storage near 150 MB
-    batch_size = min(batch_size,
-                     max(256, int(20_000_000 // max(1, n_steps * (d + 1)))))
+    batches = _batches(n_paths, min(
+        batch_size, max(256, int(20_000_000 // max(1, n_steps * (d + 1))))))
+    times = [t0 + j * h2 for j in range(n_steps)]
+    epochs = [model.epoch_of(t) for t in times]
+    coeffs = {e: (model.riskfree_at(t), model.theta_at(t).T, model.vol_at(t))
+              for e, t in dict(zip(epochs, times)).items()}
 
-    terminal = np.empty(n_paths)
-    escaped = 0
-    for first, count in _batches(n_paths, batch_size):
-        dw = _path_normals(seed, first, count, n_steps, d + 1)
+    def walk(first: int, count: int):
+        dw = _path_streams(seed, first, count, (n_steps, d + 1),
+                           "standard_normal")
         x = np.full(count, float(x0))
         phi = np.tile(np.asarray(phi0, dtype=np.float64), (count, 1))
         out = np.zeros(count, dtype=bool)
-        for j in range(n_steps):
-            t = t0 + j * h2
+        for j, (t, e) in enumerate(zip(times, epochs)):
+            r, theta_t, vol = coeffs[e]
             u, pi = policy(t, x, phi)
             full = full_belief(phi, m=model.m, validate=False)
-            r = model.riskfree_at(t)
-            th_u = u @ model.theta_at(t).T                     # (B, m)
-            per_regime = r[None, :] * x[:, None] + th_u
+            per_regime = (r[:, None] * x + (u @ theta_t).T).T  # (B, m)
             bbar = (full * per_regime).sum(axis=1) \
                 - model.cost_coeff * pi * pi * x
-            usig = np.einsum("bl,ilj->bij", u, model.vol_at(t))
+            usig = np.einsum("bl,ilj->bij", u, vol)
             sbar = np.einsum("bi,bij->bj", full, usig)         # (B, d)
             x = x + bbar * h2 + (sbar * dw[:, j, :d]).sum(axis=1) * sqrt_h2
             phi = filter_step(model, phi, pi, dw[:, j, d] * sqrt_h2, h2)
             out |= (x < lo) | (x > hi)
-        terminal[first:first + count] = x
-        escaped += int(out.sum())
+        return x, int(out.sum())
+
+    parts = [walk(first, count) for first, count in batches]
+    terminal = np.concatenate([x for x, _ in parts])
     if terminal_csv is not None:
         write_terminal_csv(terminal_csv, terminal)
-    return summarize(terminal, model, escaped / n_paths, convention)
+    return summarize(terminal, model, sum(n for _, n in parts) / n_paths,
+                     convention)
 
 
 def simulate_chain(model: RegimeModel, fields: SolutionFields, start_node: int,
@@ -205,38 +195,42 @@ def simulate_chain(model: RegimeModel, fields: SolutionFields, start_node: int,
     """
     lat = fields.lat
     N = fields.spec.n_steps
+    batches = _batches(n_paths,
+                       min(batch_size, max(256, int(20_000_000 // max(1, N)))))
     cache = StencilCache(model, lat, fields.grid)
 
-    def slice_cum(n):
+    def slice_thresholds(n):
+        # (n_out - 1, n_nodes) cumulative weights, nondecreasing as the body
+        # weights are >= 0: the count below a draw is its capped outcome
         probs_sel = _select(cache.batch(fields.time_of(n)).probs,
                             fields.policy[n])
-        return np.cumsum(probs_sel.T, axis=1)
+        return np.cumsum(probs_sel, axis=0)[:-1]
 
-    # per-slice cumulative outcome distributions under the stored policy;
-    # precomputed when that fits comfortably in memory
+    # precomputed for every slice when that fits comfortably in memory
     precompute = N * lat.n_nodes * lat.n_out <= 20_000_000
-    cums = np.stack([slice_cum(n) for n in range(N)]) if precompute else None
-
+    thresholds = (np.stack([slice_thresholds(n) for n in range(N)])
+                  if precompute else None)
     on_x_boundary = (lat.ix == 0) | (lat.ix == lat.n_x - 1)
-    batch_size = min(batch_size, max(256, int(20_000_000 // max(1, N))))
-    terminal = np.empty(n_paths)
-    hits = 0
-    for first, count in _batches(n_paths, batch_size):
-        uni = _path_uniforms(seed, first, count, N)
+
+    def walk(first: int, count: int):
+        uni = _path_streams(seed, first, count, (N,), "random")
         nodes = np.full(count, int(start_node), dtype=np.int64)
-        hit = on_x_boundary[nodes].copy()
+        hit = on_x_boundary[nodes]
         for n in range(N):
-            cum_n = cums[n] if precompute else slice_cum(n)
-            rc = cum_n[nodes]                                  # (B, n_out)
-            outcome = np.minimum((rc < uni[:, n, None]).sum(axis=1),
-                                 lat.n_out - 1)
-            nodes = lat.neighbors[nodes, outcome]
+            u = np.ascontiguousarray(uni[:, n])
+            flat = nodes * lat.n_out
+            for row in thresholds[n] if precompute else slice_thresholds(n):
+                flat += row[nodes] < u
+            nodes = lat.neighbors.ravel()[flat]
             hit |= on_x_boundary[nodes]
-        terminal[first:first + count] = lat.x[nodes]
-        hits += int(hit.sum())
+        return lat.x[nodes], int(hit.sum())
+
+    parts = [walk(first, count) for first, count in batches]
+    terminal = np.concatenate([x for x, _ in parts])
     if terminal_csv is not None:
         write_terminal_csv(terminal_csv, terminal)
-    return summarize(terminal, model, hits / n_paths, convention)
+    return summarize(terminal, model, sum(n for _, n in parts) / n_paths,
+                     convention)
 
 
 @dataclass
@@ -264,20 +258,20 @@ def marginal_check(model: RegimeModel, phi0: FloatArray, pi: float, t: float,
     n_steps = int(round(t / h2))
     if n_steps < 1 or abs(n_steps * h2 - t) > 1e-9 * max(1.0, t):
         raise DomainError(f"t {t} is not a multiple of the step {h2}")
+    batches = _batches(n_paths, min(
+        batch_size, max(256, int(20_000_000 // max(1, n_steps)))))
     sqrt_h2 = np.sqrt(h2)
-    batch_size = min(batch_size, max(256, int(20_000_000 // max(1, n_steps))))
 
-    ssum = np.zeros(model.m)
-    ssq = np.zeros(model.m)
-    for first, count in _batches(n_paths, batch_size):
-        dw = _path_normals(seed, first, count, n_steps, 1)[:, :, 0]
+    def walk(first: int, count: int):
+        dw = _path_streams(seed, first, count, (n_steps,), "standard_normal")
         phi = np.tile(np.asarray(phi0, dtype=np.float64), (count, 1))
         for j in range(n_steps):
             phi = filter_step(model, phi, pi, dw[:, j] * sqrt_h2, h2)
-        full = full_belief(phi, m=model.m, validate=False)
-        ssum += full.sum(axis=0)
-        ssq += (full ** 2).sum(axis=0)
-    mean = ssum / n_paths
+        return full_belief(phi, m=model.m, validate=False)
+
+    fulls = [walk(first, count) for first, count in batches]
+    mean = sum(full.sum(axis=0) for full in fulls) / n_paths
+    ssq = sum((full ** 2).sum(axis=0) for full in fulls)
     var = np.maximum(ssq / n_paths - mean ** 2, 0.0)
     se = np.sqrt(var / n_paths)
     target = expm(model.generator.T * t) @ full_belief(

@@ -126,3 +126,29 @@ def test_batched_matches_scalar():
     drift = filter_drift(mdl, batch)
     for row, phi in zip(drift, batch):
         assert row[0] == pytest.approx(filter_drift(mdl, phi)[0])
+
+
+def test_filter_step_is_drift_plus_diffusion():
+    # filter_step shares one validated full belief between the two terms;
+    # the result is the composition of the public pieces, bit for bit
+    rng = np.random.default_rng(3)
+    mdl = example_model(m=3, generator=[[-2.0, 1.0, 1.0], [0.5, -1.0, 0.5],
+                                        [1.0, 1.5, -2.5]],
+                        riskfree=0.03, drift=[[0.08], [0.05], [0.02]],
+                        vol=[[[0.2]], [[0.3]], [[0.4]]],
+                        signal_levels=[0.0, 1.0, 2.0])
+    phi = rng.dirichlet([1.0, 1.0, 1.0], size=200)[:, :2]
+    pi = rng.uniform(mdl.attention_min, mdl.attention_max, size=200)
+    dw = rng.normal(scale=np.sqrt(0.05), size=200)
+    ref = project_simplex(phi + filter_drift(mdl, phi) * 0.05
+                          + filter_diffusion(mdl, phi, pi) * dw[:, None])
+    np.testing.assert_array_equal(filter_step(mdl, phi, pi, dw, 0.05), ref)
+
+
+def test_filter_step_rejects_bad_inputs():
+    mdl = example_model()
+    for phi, pi, h in ((np.array([1.2]), 1.0, 0.01),     # off the simplex
+                       (np.array([0.2]), 10.0, 0.01),    # attention too high
+                       (np.array([0.2]), 1.0, 0.0)):     # step size
+        with pytest.raises(DomainError):
+            filter_step(mdl, phi, pi, 0.1, h)

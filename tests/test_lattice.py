@@ -115,6 +115,16 @@ def test_nearest_node_roundtrip_and_offgrid():
     assert int(idx[2]) == int(lat.index_of(0, np.array([5])))
 
 
+def test_nearest_node_removes_simplex_excess():
+    # rounding gives (3, 3) and (1, 5), both above K = 5: the largest
+    # coordinate loses the excess, the lowest index first on a tie
+    lat = build_grid(make_spec(), 3)
+    idx = lat.nearest_node(np.array([1.0, 1.0]),
+                           np.array([[0.55, 0.55], [0.2, 0.95]]))
+    assert int(idx[0]) == int(lat.index_of(5, np.array([2, 3])))
+    assert int(idx[1]) == int(lat.index_of(5, np.array([1, 4])))
+
+
 def test_negative_wealth_range():
     lat = build_grid(make_spec(x_min=-1.0, x_max=1.0), 2)
     assert lat.n_x == 11

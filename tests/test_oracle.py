@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from attnmv.errors import DomainError
 from attnmv.lattice import GridSpec
 from attnmv.market import example_model
 from attnmv.oracle import (ConstantPolicy, FeedbackPolicy, marginal_check,
@@ -188,3 +189,138 @@ def test_feedback_policy_lookup(short_fields):
     node = int(fields.lat.index_of(10, np.array([1])))
     assert pi[0] == fields.policy_pi(0)[node]
     assert u[0, 0] == fields.policy_u(0)[node, 0]
+
+
+def test_marginal_batching_invariance():
+    # per-path streams: the batches hold the same paths, so only the order
+    # in which the per-batch sums are added can differ
+    mdl = example_model(generator=[[-0.7, 0.7], [1.3, -1.3]])
+    kw = dict(phi0=np.array([0.6]), pi=0.5, t=0.05, n_paths=300, seed=9)
+    a = marginal_check(mdl, batch_size=37, **kw)
+    b = marginal_check(mdl, batch_size=300, **kw)
+    np.testing.assert_array_equal(a.target, b.target)
+    np.testing.assert_allclose(a.mean, b.mean, rtol=1e-13)
+    np.testing.assert_allclose(a.se, b.se, rtol=1e-9)
+
+
+@pytest.mark.parametrize("n_paths, batch_size", [(0, 64), (1, 64), (10, 0),
+                                                 (10, -3)])
+def test_oracles_reject_bad_counts_up_front(short_fields, monkeypatch,
+                                            n_paths, batch_size):
+    # rejected before any path is drawn: batch_size=0 used to loop forever
+    # in marginal_check, n_paths=0 gave NaN means, and the chain and SDE
+    # simulated every path before the summary raised
+    mdl, spec, fields = short_fields
+
+    def no_streams(*args):
+        raise AssertionError("a path was simulated")
+    monkeypatch.setattr("attnmv.oracle._path_streams", no_streams)
+    start = int(fields.lat.index_of(10, np.array([1])))
+    with pytest.raises(DomainError):
+        simulate_chain(mdl, fields, start, n_paths, seed=1,
+                       batch_size=batch_size)
+    with pytest.raises(DomainError):
+        simulate_sde(mdl, ConstantPolicy([1.0], 1.0), 0.0, 2.0,
+                     np.array([0.2]), n_paths, seed=1, h2=spec.h2,
+                     x_bounds=(spec.x_min, spec.x_max), batch_size=batch_size)
+    with pytest.raises(DomainError):
+        marginal_check(mdl, np.array([0.2]), 1.0, 0.1, n_paths, seed=1,
+                       batch_size=batch_size)
+
+
+# Exact pins, recorded before the oracles' step loops were rewritten for
+# speed: a change to any path stream or to the step arithmetic moves them.
+# The policies are forced or constant, so a change to the backward
+# recursion leaves them alone.
+
+@pytest.fixture
+def pin_fields():
+    mdl = example_model(T=0.05)
+    spec = GridSpec(h1=0.2, h2=0.001, x_min=0.0, x_max=4.0, n_steps=50)
+    cg = ControlGrid.regular(d=1, u_max=2.0, du=0.5, pi_min=mdl.attention_min,
+                             pi_max=mdl.attention_max, n_pi=5)
+    return mdl, spec, solve(mdl, spec, cg)
+
+
+def _three_regimes(**overrides):
+    return example_model(
+        m=3, generator=[[-1.0, 0.6, 0.4], [0.5, -1.5, 1.0], [0.3, 0.7, -1.0]],
+        riskfree=[0.03, 0.02, 0.04], drift=[[0.08], [0.035], [0.05]],
+        vol=[[[0.2]], [[0.35]], [[0.25]]], signal_levels=[0.0, 1.0, 0.4],
+        **overrides)
+
+
+def test_chain_summary_pins(pin_fields):
+    mdl, spec, fields = pin_fields
+    fields.policy[:] = 24                       # u=2, pi=2 on every slice
+    mid = int(fields.lat.index_of(10, np.array([1])))
+    edge = int(fields.lat.index_of(19, np.array([2])))
+    mc = simulate_chain(mdl, fields, mid, 3000, seed=31, batch_size=1000)
+    assert mc.to_dict() == {
+        "n_paths": 3000, "mean_XT": 1.9667333333333337,
+        "var_XT": 0.026106662222222226, "objective": -0.4655766711111112,
+        "se_mean": 0.002949952667542437, "se_var": 0.0008832292339946013,
+        "boundary_hits": 0.0}
+    mc = simulate_chain(mdl, fields, edge, 2000, seed=32)
+    assert mc.to_dict() == {
+        "n_paths": 2000, "mean_XT": 3.7285999999999997,
+        "var_XT": 0.027782039999999987, "objective": -0.90436796,
+        "se_mean": 0.0037270658700913773, "se_var": 0.0009771450797485478,
+        "boundary_hits": 0.162}
+
+
+def test_sde_summary_pins(pin_fields):
+    mdl, spec, fields = pin_fields
+    # a control that varies with the slice and the node
+    fields.policy[:] = ((7 * np.arange(fields.lat.n_nodes))[None, :]
+                        + np.arange(spec.n_steps)[:, None]) % 25
+    mc = simulate_sde(mdl, FeedbackPolicy(fields), 0.0, 2.0, np.array([0.2]),
+                      400, seed=35, h2=spec.h2, x_bounds=(1.95, 2.05),
+                      batch_size=150)
+    assert mc.to_dict() == {
+        "n_paths": 400, "mean_XT": 1.985062848495655,
+        "var_XT": 0.006815061121431102, "objective": -0.48945065100248264,
+        "se_mean": 0.00412766917322328, "se_var": 0.0004004165801730772,
+        "boundary_hits": 0.9125}
+    epochs = example_model(
+        T=0.05, riskfree={"times": [0.0, 0.02],
+                          "values": [[0.03, 0.03], [0.05, 0.01]]},
+        drift={"times": [0.0, 0.031],
+               "values": [[[0.08], [0.035]], [[0.02], [0.09]]]})
+    mc = simulate_sde(epochs, ConstantPolicy([1.5], 0.5), 0.0, 1.0,
+                      np.array([0.7]), 400, seed=14, h2=0.001,
+                      x_bounds=(0.0, 4.0), batch_size=150)
+    assert mc.to_dict() == {
+        "n_paths": 400, "mean_XT": 1.007794908631519,
+        "var_XT": 0.0072638734991138775, "objective": -0.24468485365876588,
+        "se_mean": 0.004261418044241223, "se_var": 0.0005227169324438831,
+        "boundary_hits": 0.0}
+    mc = simulate_sde(_three_regimes(T=0.05), ConstantPolicy([1.0], 1.5), 0.0,
+                      2.0, np.array([0.3, 0.5]), 300, seed=15, h2=0.001,
+                      x_bounds=(0.0, 4.0))
+    assert mc.to_dict() == {
+        "n_paths": 300, "mean_XT": 1.9808189357160264,
+        "var_XT": 0.004441438687634755, "objective": -0.49076329524137186,
+        "se_mean": 0.0038477000435908704, "se_var": 0.00034851139994691307,
+        "boundary_hits": 0.0}
+
+
+def test_marginal_report_pins():
+    mdl = example_model(generator=[[-0.7, 0.7], [1.3, -1.3]])
+    rep = marginal_check(mdl, np.array([0.6]), pi=0.5, t=0.1, n_paths=3000,
+                         seed=6, batch_size=700)
+    assert rep.mean.tolist() == [0.6081625439987522, 0.3918374560012481]
+    assert rep.se.tolist() == [0.000859860545775307, 0.0008598605457754309]
+    assert rep.target.tolist() == [0.6090634623461009, 0.3909365376538991]
+    assert (rep.max_dev, rep.dev_over_3se) == (0.0009009183473490112,
+                                               0.34924979086252256)
+    rep = marginal_check(_three_regimes(T=0.05), np.array([0.3, 0.5]), pi=1.5,
+                         t=0.05, n_paths=2000, seed=7, h2=0.001)
+    assert rep.mean.tolist() == [0.3010813085250145, 0.4788340310662444,
+                                 0.22008466040874022]
+    assert rep.se.tolist() == [0.0010287045336132006, 0.0012266570671796606,
+                               0.00020311389116942145]
+    assert rep.target.tolist() == [0.30038265848607676, 0.4796392956758701,
+                                   0.2199780458380532]
+    assert (rep.max_dev, rep.dev_over_3se) == (0.000805264609625711,
+                                               0.22638506850418322)
