@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (EXIT_CONFIG, EXIT_OK, EXIT_PROPERTY, EXIT_SCHEME,
-                     ConfigError, SchemeError)
+                     ConfigError, DomainError, SchemeError)
 from .kernel import build_stencil_batch, consistency_sweep
 from .lattice import GridSpec
 from .market import CONVENTIONS, RegimeModel, validate_model
@@ -586,7 +586,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, args)
         return args.func(cfg)
-    except ConfigError as err:
+    except (ConfigError, DomainError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except SchemeError as err:

@@ -25,6 +25,12 @@ The one-step mean is exact (equal to the drift times ``h2``); second
 central moments match the diffusion times ``h2`` up to ``O(h1 h2)``.
 Moments are evaluated on the raw displacement catalog; boundary projection
 is monitored separately through occupancy metrics.
+
+Every law is built by ``_coefficients`` for all controls of an epoch at
+once, keeping the operation order of a one-control build, so row ``c`` of
+a batch is bit-identical to a build of control ``c`` alone; ``_validate``
+is the one check that clips float dust, closes the self mass and masks or
+rejects invalid laws.
 """
 
 from __future__ import annotations
@@ -65,53 +71,65 @@ def diffusion_bar_sq(model: RegimeModel, t: float, x, phi, u):
     return float(out) if out.ndim == 0 else out
 
 
-def _coefficients(model: RegimeModel, lat: Lattice, t: float, u, pi):
-    """Raw probability table (n_out, n_nodes) plus the consistency targets.
+def _coefficients(model: RegimeModel, lat: Lattice, t: float, u_arr, pi_arr):
+    """Raw probability tables of every control, plus the consistency targets.
 
-    No validation is performed here; callers decide between fail-fast and
-    masking.  Returns ``(probs, bbar, qtil, ssT, a)``.
+    ``u_arr`` (n_c, d) and ``pi_arr`` (n_c,) give ``probs`` (n_c, n_out,
+    n_nodes), ``bbar`` and ``ssT`` (n_c, n_nodes), ``qtil`` (n_nodes, m-1)
+    and ``a`` (n_c, n_nodes, m-1, m-1).  Each control's entries are the
+    same floating-point operations, in the same order, as a build for that
+    control alone.  No validation is performed here; callers decide between
+    fail-fast and masking.
     """
     h1, h2 = lat.spec.h1, lat.spec.h2
     mm = model.m - 1
     c = h2 / (h1 * h1)
+    u_arr = np.asarray(u_arr, dtype=np.float64)
+    pi_arr = np.asarray(pi_arr, dtype=np.float64)
 
     full = full_belief(lat.phi, m=model.m, validate=False)       # (n, m)
     zbar = full @ model.signal_levels
     r = model.riskfree_at(t)
-    th_u = model.theta_at(t) @ np.asarray(u, dtype=np.float64)
-    per_regime = r[None, :] * lat.x[:, None] + th_u[None, :]
-    bbar = (full * per_regime).sum(axis=1) - model.cost_coeff * pi * pi * lat.x
-    usig = np.einsum("l,mlj->mj", np.asarray(u, dtype=np.float64),
-                     model.vol_at(t))
-    sbar = full @ usig
-    ssT = (sbar * sbar).sum(axis=1)
+    th_u = (model.theta_at(t) @ u_arr[:, :, None])[:, None, :, 0]   # (c, 1, m)
+    per_regime = (r[None, :] * lat.x[:, None]) + th_u
+    bbar = (full * per_regime).sum(axis=2) \
+        - (model.cost_coeff * pi_arr * pi_arr)[:, None] * lat.x
+    usig = np.einsum("cl,mlj->cmj", u_arr, model.vol_at(t))
+    sbar = full @ usig                                           # (c, n, d)
+    ssT = (sbar * sbar).sum(axis=2)
     qtil = (full @ model.generator)[:, :mm]                      # (n, mm)
 
-    v = np.sqrt(pi) * lat.phi * (model.signal_levels[:mm][None, :] - zbar[:, None])
-    a = v[:, :, None] * v[:, None, :]                            # (n, mm, mm)
-    absrow = np.abs(v) * np.abs(v).sum(axis=1, keepdims=True)    # sum_k |a_ik|
-    diag = np.einsum("nii->ni", a) - 0.5 * absrow                # a_ii/2 - off/2
+    v = (np.sqrt(pi_arr)[:, None, None] * lat.phi) \
+        * (model.signal_levels[:mm][None, :] - zbar[:, None])
+    a = v[..., :, None] * v[..., None, :]                        # (c, n, mm, mm)
+    absrow = np.abs(v) * np.abs(v).sum(axis=2, keepdims=True)    # sum_k |a_ik|
+    diag = np.einsum("cnii->cni", a) - 0.5 * absrow              # a_ii/2 - off/2
 
-    probs = np.zeros((lat.n_out, lat.n_nodes))
-    probs[1] = (ssT + 2.0 * np.maximum(bbar, 0.0) * h1) * (0.5 * c)
-    probs[2] = (ssT + 2.0 * np.maximum(-bbar, 0.0) * h1) * (0.5 * c)
+    probs = np.zeros((len(pi_arr), lat.n_out, lat.n_nodes))
+    probs[:, 1] = (ssT + 2.0 * np.maximum(bbar, 0.0) * h1) * (0.5 * c)
+    probs[:, 2] = (ssT + 2.0 * np.maximum(-bbar, 0.0) * h1) * (0.5 * c)
     for i in range(mm):
-        probs[3 + 2 * i] = (diag[:, i] + np.maximum(qtil[:, i], 0.0) * h1) * c
-        probs[4 + 2 * i] = (diag[:, i] + np.maximum(-qtil[:, i], 0.0) * h1) * c
+        probs[:, 3 + 2 * i] = (diag[:, :, i] + np.maximum(qtil[:, i], 0.0) * h1) * c
+        probs[:, 4 + 2 * i] = (diag[:, :, i] + np.maximum(-qtil[:, i], 0.0) * h1) * c
     o = 3 + 2 * mm
     for i in range(mm):
         for k in range(mm):
             if i == k:
                 continue
-            ap = np.maximum(a[:, i, k], 0.0) * (0.25 * c)
-            am = np.maximum(-a[:, i, k], 0.0) * (0.25 * c)
-            probs[o] = ap
-            probs[o + 1] = ap
-            probs[o + 2] = am
-            probs[o + 3] = am
+            ap = np.maximum(a[:, :, i, k], 0.0) * (0.25 * c)
+            am = np.maximum(-a[:, :, i, k], 0.0) * (0.25 * c)
+            probs[:, o] = ap
+            probs[:, o + 1] = ap
+            probs[:, o + 2] = am
+            probs[:, o + 3] = am
             o += 4
-    probs[0] = 1.0 - probs[1:].sum(axis=0)
+    probs[:, 0] = 1.0 - probs[:, 1:].sum(axis=1)
     return probs, bbar, qtil, ssT, a
+
+
+def _one(u, pi):
+    """One control as a batch of one: ``(u_arr, pi_arr)``."""
+    return np.asarray(u, dtype=np.float64)[None, :], np.array([float(pi)])
 
 
 def _stay_closed_form(bbar, qtil, ssT, a, h1, h2):
@@ -120,7 +138,7 @@ def _stay_closed_form(bbar, qtil, ssT, a, h1, h2):
     Algebraically identical to the complement used in the construction;
     the residual against it is reported so any non-closure would surface.
     """
-    quad = np.abs(a).sum(axis=(1, 2)) - 3.0 * np.einsum("nii->n", a)
+    quad = np.abs(a).sum(axis=(2, 3)) - 3.0 * np.einsum("cnii->cn", a)
     return (h2 / (2 * h1 * h1)) * quad \
         - ((np.abs(bbar) + np.abs(qtil).sum(axis=1)) * h1 + ssT) * h2 / (h1 * h1) \
         + 1.0
@@ -128,9 +146,8 @@ def _stay_closed_form(bbar, qtil, ssT, a, h1, h2):
 
 def stay_probability_closed_form(model, lat, t, u, pi):
     """Closed-form self-transition mass for one control (all nodes)."""
-    _, bbar, qtil, ssT, a = _coefficients(model, lat, t, np.asarray(u, float),
-                                          float(pi))
-    return _stay_closed_form(bbar, qtil, ssT, a, lat.spec.h1, lat.spec.h2)
+    _, bbar, qtil, ssT, a = _coefficients(model, lat, t, *_one(u, pi))
+    return _stay_closed_form(bbar, qtil, ssT, a, lat.spec.h1, lat.spec.h2)[0]
 
 
 @dataclass
@@ -165,56 +182,64 @@ class TransitionStencil:
         return float(self.probs().sum())
 
 
-def _validate_probs(probs, scale, node_hint, control_hint):
-    """Raise SchemeError on genuinely invalid entries; zero out float dust."""
-    tol = _NEG_TOL * max(1.0, scale)
-    body = probs[1:]
-    worst = body.min()
-    if worst < -tol:
-        o, n = np.unravel_index(np.argmin(body), body.shape)
+def _validate(probs, a, *, strict: bool, first_node: int = 0):
+    """Clip float dust, close the self mass and mark or reject invalid laws.
+
+    ``probs`` (n_c, n_out, n) is updated in place; ``a`` (n_c, n, m-1, m-1)
+    sets each control's tolerance for negative weights.  Returns ``(valid,
+    nonstay)``, both (n_c, n).  With ``strict`` the first invalid control
+    raises, its body weights checked before its self mass, as a loop over
+    controls would; column ``j`` is reported as node ``first_node + j``.
+    """
+    scale = np.abs(a).max(axis=(1, 2, 3), initial=0.0)
+    tol = _NEG_TOL * np.maximum(1.0, scale)
+    body = probs[:, 1:]
+    bad = body < -tol[:, None, None]
+    clipped = np.clip(body, 0.0, None)
+    # outcome by outcome: a lone column must sum in the order a full table
+    # does, and numpy sums a lone column of 8 or more pairwise
+    nonstay = clipped[:, 0].copy()
+    for o in range(1, clipped.shape[1]):
+        nonstay += clipped[:, o]
+    stay = 1.0 - nonstay
+    valid = ~(bad.any(axis=1) | (stay < 0.0))
+    if strict and not valid.all():
+        ci = int(np.argmin(valid.all(axis=1)))
+        if bad[ci].any():
+            o, n = np.unravel_index(np.argmax(bad[ci]), bad[ci].shape)
+            raise SchemeError(
+                f"negative transition weight at node {first_node + n}, "
+                f"outcome {o + 1}, control {ci} ({body[ci, o, n]:.3e}); "
+                "belief diffusion not diagonally dominant, no time-step "
+                "reduction can fix this",
+                node=first_node + int(n), control=ci, entry=int(o + 1),
+                value=float(body[ci, o, n]), shrink=None)
+        n = int(np.argmin(stay[ci]))
         raise SchemeError(
-            f"transition weight for outcome {o + 1} at node {n} is negative "
-            f"({worst:.3e}); belief diffusion is not diagonally dominant "
-            "there, no time-step reduction can fix this",
-            node=int(n) if node_hint is None else node_hint,
-            control=control_hint, entry=int(o + 1), value=float(worst),
-            shrink=None)
-    np.clip(body, 0.0, None, out=body)
-    stay = probs[0]
-    if stay.min() < 0.0:
-        n = int(np.argmin(stay))
-        mass = 1.0 - stay.min()
-        raise SchemeError(
-            f"self-transition probability at node {n} is negative "
-            f"({stay.min():.3e}): time step too large; "
-            f"h2 must shrink by at least {1.0 / mass:.6g}",
-            node=n if node_hint is None else node_hint,
-            control=control_hint, entry=0, value=float(stay.min()),
-            shrink=1.0 / mass)
+            f"self-transition probability at node {first_node + n}, control "
+            f"{ci} is negative ({stay[ci, n]:.3e}): time step too large; h2 "
+            f"must shrink by at least a factor {1.0 / nonstay[ci, n]:.6g}",
+            node=first_node + n, control=ci, entry=0,
+            value=float(stay[ci, n]), shrink=float(1.0 / nonstay[ci, n]))
+    body[...] = clipped
+    probs[:, 0] = stay
+    return valid, nonstay
 
 
 def stencil(model: RegimeModel, lat: Lattice, t: float, node_idx: int,
             u, pi) -> TransitionStencil:
-    """Build the validated transition stencil for one node and control."""
-    probs, *_ , a = _coefficients(model, lat, t, np.asarray(u, float), float(pi))
-    col = probs[:, node_idx].copy()[:, None]
-    _validate_probs(col, float(np.abs(a[node_idx]).max(initial=0.0)),
-                    node_idx, (np.asarray(u, float), float(pi)))
-    col = col[:, 0]
+    """Build the validated transition stencil for one node and control.
+
+    Its weights are column ``node_idx`` of this control's stencil batch.
+    """
+    probs, *_, a = _coefficients(model, lat, t, *_one(u, pi))
+    sel = slice(node_idx, node_idx + 1)
+    _validate(probs[:, :, sel], a[:, sel], strict=True, first_node=node_idx)
+    col = probs[0, :, node_idx]
     mm = model.m - 1
-    p_phi = np.empty((mm, 2))
-    for i in range(mm):
-        p_phi[i, 0] = col[3 + 2 * i]
-        p_phi[i, 1] = col[4 + 2 * i]
-    p_cross = np.zeros((mm, mm, 2))
-    o = 3 + 2 * mm
-    for i in range(mm):
-        for k in range(mm):
-            if i == k:
-                continue
-            p_cross[i, k, 0] = col[o]
-            p_cross[i, k, 1] = col[o + 2]
-            o += 4
+    p_phi = col[3:3 + 2 * mm].reshape(mm, 2).copy()
+    p_cross = np.zeros((mm, mm, 2))      # ordered pairs i != k, row-major
+    p_cross[~np.eye(mm, dtype=bool)] = col[3 + 2 * mm:].reshape(-1, 4)[:, ::2]
     return TransitionStencil(p_stay=float(col[0]),
                              p_x=np.array([col[1], col[2]]),
                              p_phi=p_phi, p_cross=p_cross)
@@ -244,46 +269,13 @@ def build_stencil_batch(model: RegimeModel, lat: Lattice, t: float,
     With ``strict`` any invalid entry raises; otherwise invalid
     (control, node) pairs are only masked out in ``valid``.
     """
-    n_c = len(pi_arr)
-    probs = np.empty((n_c, lat.n_out, lat.n_nodes))
-    ssT = np.empty((n_c, lat.n_nodes))
-    valid = np.ones((n_c, lat.n_nodes), dtype=bool)
-    max_mass = 0.0
-    stay_res = 0.0
-    for ci in range(n_c):
-        p, bbar, qtil, ss, a = _coefficients(model, lat, t, u_arr[ci], float(pi_arr[ci]))
-        scale = float(np.abs(a).max(initial=0.0))
-        tol = _NEG_TOL * max(1.0, scale)
-        body = p[1:]
-        bad = body < -tol
-        if strict and bad.any():
-            o, n = np.unravel_index(np.argmax(bad), bad.shape)
-            raise SchemeError(
-                f"negative transition weight at node {n}, outcome {o + 1}, "
-                f"control {ci} ({body[o, n]:.3e}); belief diffusion not "
-                "diagonally dominant, no time-step reduction can fix this",
-                node=int(n), control=ci, entry=int(o + 1),
-                value=float(body[o, n]), shrink=None)
-        np.clip(body, 0.0, None, out=body)
-        nonstay = body.sum(axis=0)
-        max_mass = max(max_mass, float(nonstay.max()))
-        p[0] = 1.0 - nonstay
-        col_valid = ~(bad.any(axis=0) | (p[0] < 0.0))
-        if strict and not col_valid.all():
-            n = int(np.argmin(p[0]))
-            raise SchemeError(
-                f"self-transition probability at node {n}, control {ci} is "
-                f"negative ({p[0, n]:.3e}): time step too large; h2 must "
-                f"shrink by at least a factor {1.0 / nonstay[n]:.6g}",
-                node=n, control=ci, entry=0, value=float(p[0, n]),
-                shrink=float(1.0 / nonstay[n]))
-        probs[ci] = p
-        ssT[ci] = ss
-        valid[ci] = col_valid
-        res = _stay_closed_form(bbar, qtil, ss, a, lat.spec.h1, lat.spec.h2) - p[0]
-        stay_res = max(stay_res, float(np.abs(res[col_valid]).max(initial=0.0)))
+    probs, bbar, qtil, ssT, a = _coefficients(model, lat, t, u_arr, pi_arr)
+    valid, nonstay = _validate(probs, a, strict=strict)
+    res = _stay_closed_form(bbar, qtil, ssT, a, lat.spec.h1, lat.spec.h2) \
+        - probs[:, 0]
     return StencilBatch(probs=probs, ssT=ssT, valid=valid,
-                        max_mass=max_mass, stay_residual=stay_res)
+                        max_mass=float(nonstay.max(initial=0.0)),
+                        stay_residual=float(np.abs(res[valid]).max(initial=0.0)))
 
 
 @dataclass
@@ -298,28 +290,35 @@ class ConsistencyReport:
         return self.mean_dev <= mean_tol and self.second_scale <= second_scale_tol
 
 
+def _moment_deviations(model: RegimeModel, lat: Lattice, t: float,
+                       u_arr: FloatArray, pi_arr: FloatArray):
+    """Moment deviations of every control, each of shape (n_c, n_nodes)."""
+    h2 = lat.spec.h2
+    probs, bbar, qtil, ssT, a = _coefficients(model, lat, t, u_arr, pi_arr)
+    disp = lat.displacements                                     # (n_out, 1+mm)
+    mean = np.einsum("con,od->cnd", probs, disp)                 # (c, n, 1+mm)
+    target_mean = np.concatenate(
+        [bbar[:, :, None], np.broadcast_to(qtil, bbar.shape + qtil.shape[1:])],
+        axis=2) * h2
+    mean_dev = np.abs(mean - target_mean).max(axis=2)
+
+    second = np.einsum("con,od,oe->cnde", probs, disp, disp)
+    second -= mean[:, :, :, None] * mean[:, :, None, :]
+    target = np.zeros_like(second)
+    target[:, :, 0, 0] = ssT * h2
+    target[:, :, 1:, 1:] = a * h2
+    second_dev = np.abs(second - target).max(axis=(2, 3))
+    return mean_dev, second_dev
+
+
 def moment_deviations(model: RegimeModel, lat: Lattice, t: float, u, pi):
     """Per-node moment deviations for one control (vectorized).
 
     Returns ``(mean_dev, second_dev)`` arrays of shape (n_nodes,), using
     the raw displacement catalog (no boundary projection).
     """
-    h2 = lat.spec.h2
-    probs, bbar, qtil, ssT, a = _coefficients(model, lat, t, np.asarray(u, float),
-                                              float(pi))
-    mm = model.m - 1
-    disp = lat.displacements                                     # (n_out, 1+mm)
-    mean = np.einsum("on,od->nd", probs, disp)                   # (n, 1+mm)
-    target_mean = np.concatenate([bbar[:, None], qtil], axis=1) * h2
-    mean_dev = np.abs(mean - target_mean).max(axis=1)
-
-    second = np.einsum("on,od,oe->nde", probs, disp, disp)
-    second -= mean[:, :, None] * mean[:, None, :]
-    target = np.zeros_like(second)
-    target[:, 0, 0] = ssT * h2
-    target[:, 1:, 1:] = a * h2
-    second_dev = np.abs(second - target).max(axis=(1, 2))
-    return mean_dev, second_dev
+    mean_dev, second_dev = _moment_deviations(model, lat, t, *_one(u, pi))
+    return mean_dev[0], second_dev[0]
 
 
 def check_local_consistency(model: RegimeModel, lat: Lattice, t: float,
@@ -335,13 +334,8 @@ def check_local_consistency(model: RegimeModel, lat: Lattice, t: float,
 def consistency_sweep(model: RegimeModel, lat: Lattice, t: float,
                       u_arr: FloatArray, pi_arr: FloatArray) -> ConsistencyReport:
     """Worst-case moment deviations over all nodes and controls."""
-    h1h2 = lat.spec.h1 * lat.spec.h2
-    worst_mean = 0.0
-    worst_second = 0.0
-    for ci in range(len(pi_arr)):
-        mean_dev, second_dev = moment_deviations(model, lat, t, u_arr[ci],
-                                                 float(pi_arr[ci]))
-        worst_mean = max(worst_mean, float(mean_dev.max()))
-        worst_second = max(worst_second, float(second_dev.max()))
-    return ConsistencyReport(mean_dev=worst_mean, second_dev=worst_second,
-                             second_scale=worst_second / h1h2)
+    mean_dev, second_dev = _moment_deviations(model, lat, t, u_arr, pi_arr)
+    worst_second = float(second_dev.max(initial=0.0))
+    return ConsistencyReport(mean_dev=float(mean_dev.max(initial=0.0)),
+                             second_dev=worst_second,
+                             second_scale=worst_second / (lat.spec.h1 * lat.spec.h2))

@@ -269,9 +269,9 @@ def marginal_check(model: RegimeModel, phi0: FloatArray, pi: float, t: float,
             phi = filter_step(model, phi, pi, dw[:, j] * sqrt_h2, h2)
         return full_belief(phi, m=model.m, validate=False)
 
-    fulls = [walk(first, count) for first, count in batches]
-    mean = sum(full.sum(axis=0) for full in fulls) / n_paths
-    ssq = sum((full ** 2).sum(axis=0) for full in fulls)
+    full = np.concatenate([walk(first, count) for first, count in batches])
+    mean = full.sum(axis=0) / n_paths
+    ssq = (full ** 2).sum(axis=0)
     var = np.maximum(ssq / n_paths - mean ** 2, 0.0)
     se = np.sqrt(var / n_paths)
     target = expm(model.generator.T * t) @ full_belief(

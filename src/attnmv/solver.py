@@ -117,12 +117,10 @@ class SolutionFields:
         return n * self.spec.h2
 
     def policy_u(self, n: int) -> FloatArray:
-        u, _ = self.grid.enumerate()
-        return u[self.policy[n]]
+        return self.grid.u_levels[self.policy[n] // len(self.grid.pi_levels)]
 
     def policy_pi(self, n: int) -> FloatArray:
-        _, pi = self.grid.enumerate()
-        return pi[self.policy[n]]
+        return self.grid.pi_levels[self.policy[n] % len(self.grid.pi_levels)]
 
     def control_at(self, n: int, node_idx: int) -> ControlPoint:
         return self.grid.control(int(self.policy[n, node_idx]))
@@ -246,15 +244,15 @@ class StencilCache:
         self.model = model
         self.lat = lat
         self.u_arr, self.pi_arr = grid.enumerate()
-        self._batches: dict[int, StencilBatch] = {}
+        self.batches: dict[int, StencilBatch] = {}     # by epoch index
 
     def batch(self, t: float) -> StencilBatch:
         e = self.model.epoch_of(t)
-        if e not in self._batches:
+        if e not in self.batches:
             t_epoch = float(self.model.time_breaks[e])
-            self._batches[e] = build_stencil_batch(
+            self.batches[e] = build_stencil_batch(
                 self.model, self.lat, t_epoch, self.u_arr, self.pi_arr)
-        return self._batches[e]
+        return self.batches[e]
 
 
 def _select(probs: FloatArray, idx: np.ndarray) -> FloatArray:
@@ -316,8 +314,8 @@ def solve(model: RegimeModel, spec: GridSpec, grid: ControlGrid,
         step_back(model, fields, n, cache, cmat)
         if progress and n % report_every == 0:
             log.info("slice %d/%d done", N - n, N)
-    fields.cfl_max_mass = max(b.max_mass for b in cache._batches.values())
-    fields.stay_residual = max(b.stay_residual for b in cache._batches.values())
+    fields.cfl_max_mass = max(b.max_mass for b in cache.batches.values())
+    fields.stay_residual = max(b.stay_residual for b in cache.batches.values())
     return fields
 
 

@@ -186,6 +186,15 @@ def test_check_rejects_perturbed_generator(tmp_path):
     assert rc == 2
 
 
+def test_check_rejects_bad_path_count(tmp_path, capsys):
+    # an oracle input outside its domain exits with the configuration code
+    cfgp = short_config(tmp_path)
+    rc = main(["check", "--config", str(cfgp), "--paths", "1",
+               "--output-dir", str(tmp_path / "x")])
+    assert rc == 2
+    assert "n_paths >= 2" in capsys.readouterr().err
+
+
 def test_refine_cauchy_table(tmp_path):
     cfgp = short_config(tmp_path)
     out = tmp_path / "refine"

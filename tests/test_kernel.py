@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from attnmv.kernel import (build_stencil_batch, check_local_consistency,
                            moment_deviations, stencil, _coefficients)
 from attnmv.lattice import GridSpec, build_grid
 from attnmv.market import example_model
+from attnmv.solver import ControlGrid
 
 
 def scalar_stencil_2regime(mdl, h1, h2, x, phi, u, pi, t=0.0):
@@ -211,7 +214,8 @@ def test_three_regime_raw_closure_and_moments():
     spec = GridSpec(h1=0.2, h2=0.001, x_min=0.0, x_max=4.0, n_steps=2000)
     lat = build_grid(spec, 3)
     probs, bbar, qtil, ssT, a = _coefficients(mdl, lat, 0.0,
-                                              np.array([1.0]), 2.0)
+                                              np.array([[1.0]]), np.array([2.0]))
+    probs, bbar, ssT, a = probs[0], bbar[0], ssT[0], a[0]
     np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-14)
     mean = np.einsum("on,od->nd", probs, lat.displacements)
     target = np.concatenate([bbar[:, None], qtil], axis=1) * spec.h2
@@ -238,3 +242,88 @@ def test_three_regime_near_vertex_cross_terms_valid():
     md, sd = moment_deviations(mdl, lat, 0.0, np.array([0.5]), 0.05)
     assert md[node] <= 1e-12
     assert sd[node] <= 5 * spec.h1 * spec.h2
+
+
+def test_stencil_equals_batch_column(default_spec, default_controls):
+    # the single-node stencil is a column of the one builder's batch, float
+    # dust clipping included (three regimes produce such dust)
+    mdl = three_regime_model()
+    lat = build_grid(default_spec, 3)
+    u_arr, pi_arr = default_controls.enumerate()
+    batch = build_stencil_batch(mdl, lat, 0.0, u_arr, pi_arr)
+    assert 0 < batch.valid.sum() < batch.valid.size
+    for ci in (0, 9, 24):
+        for node in range(lat.n_nodes):
+            if not batch.valid[ci, node]:
+                with pytest.raises(SchemeError):
+                    stencil(mdl, lat, 0.0, node, u_arr[ci], pi_arr[ci])
+                continue
+            st = stencil(mdl, lat, 0.0, node, u_arr[ci], pi_arr[ci])
+            assert st.probs().tobytes() == batch.probs[ci, :, node].tobytes()
+
+
+# Exact pins, recorded before the per-control loops of the stencil batch and
+# the moment sweep were replaced by one control-vectorized builder.
+
+def _sha(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("m, pins", [
+    (2, ("a535be03359982183524f4bde6d53b98fbfb11e8dbc58e543e04f61e8297fedd",
+         "6c4c6ce99ed3be59bbd02dbdeb8cbad5c1eb62f127a523f6e26b1ade978ec185",
+         "e4f7da0b5f721d827d563ae71f45a8feab60b1d07b87b63c6cd1680cabd38668",
+         0.027099999999999996, 1.1102230246251565e-16,
+         6.505213034913027e-19, 0.00029775000000000005)),
+    (3, ("567a65ef32f1af93f281cbe2ad2c27b8533272dda99effc73fef15db1d68b315",
+         "3dbb3af1dd8f053cd6c30776b6e4ed64b60924cb2af456ea037f196d2842cbcc",
+         "8d239a418a8f1bc96e09a123dea32ae2ad687eaa2018d76405c5922950e8fc71",
+         0.03652, 1.1102230246251565e-16,
+         6.505213034913027e-19, 0.000396)),
+])
+def test_batch_and_sweep_pins(m, pins, default_spec, default_controls):
+    mdl = example_model() if m == 2 else three_regime_model()
+    lat = build_grid(default_spec, m)
+    u_arr, pi_arr = default_controls.enumerate()
+    batch = build_stencil_batch(mdl, lat, 0.0, u_arr, pi_arr, strict=(m == 2))
+    rep = consistency_sweep(mdl, lat, 0.0, u_arr, pi_arr)
+    assert (_sha(batch.probs), _sha(batch.ssT), _sha(batch.valid),
+            batch.max_mass, batch.stay_residual,
+            rep.mean_dev, rep.second_dev) == pins
+
+
+@pytest.mark.parametrize("m, h2, u_max, pi_levels, fields, message", [
+    # diagonal dominance fails at control 1; control 0 has no attention
+    (3, 0.001, 1.0, [0.0, 0.5, 2.0], (1, 7, 6, -0.00010000000000000002, None),
+     "negative transition weight at node 7, outcome 6, control 1 "
+     "(-1.000e-04); belief diffusion not diagonally dominant, no time-step "
+     "reduction can fix this"),
+    # time step too large from control 6 on
+    (2, 0.05, 4.0, None, (6, 120, 0, -0.019999899999999737, 0.980392252979633),
+     "self-transition probability at node 120, control 6 is negative "
+     "(-2.000e-02): time step too large; h2 must shrink by at least a "
+     "factor 0.980392"),
+    # control 0's self mass fails before control 1's body weights
+    (3, 0.08, 1.0, [0.0, 0.5, 2.0],
+     (0, 440, 0, -0.24799999999999978, 0.8012820512820514),
+     "self-transition probability at node 440, control 0 is negative "
+     "(-2.480e-01): time step too large; h2 must shrink by at least a "
+     "factor 0.801282"),
+])
+def test_strict_batch_error_pins(m, h2, u_max, pi_levels, fields, message):
+    mdl = example_model() if m == 2 else three_regime_model()
+    lat = build_grid(GridSpec(h1=0.2, h2=h2, x_min=0.0, x_max=4.0,
+                              n_steps=2), m)
+    if pi_levels is None:
+        cg = ControlGrid.regular(d=1, u_max=u_max, du=1.0,
+                                 pi_min=mdl.attention_min,
+                                 pi_max=mdl.attention_max, n_pi=3)
+    else:
+        cg = ControlGrid(u_levels=np.arange(u_max + 1.0)[:, None],
+                         pi_levels=np.array(pi_levels))
+    u_arr, pi_arr = cg.enumerate()
+    with pytest.raises(SchemeError) as exc:
+        build_stencil_batch(mdl, lat, 0.0, u_arr, pi_arr, strict=True)
+    err = exc.value
+    assert (err.control, err.node, err.entry, err.value, err.shrink) == fields
+    assert str(err) == message

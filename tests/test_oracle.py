@@ -192,15 +192,15 @@ def test_feedback_policy_lookup(short_fields):
 
 
 def test_marginal_batching_invariance():
-    # per-path streams: the batches hold the same paths, so only the order
-    # in which the per-batch sums are added can differ
+    # per-path streams, summed once over all paths: the report does not
+    # depend on the batch partitioning
     mdl = example_model(generator=[[-0.7, 0.7], [1.3, -1.3]])
     kw = dict(phi0=np.array([0.6]), pi=0.5, t=0.05, n_paths=300, seed=9)
     a = marginal_check(mdl, batch_size=37, **kw)
     b = marginal_check(mdl, batch_size=300, **kw)
-    np.testing.assert_array_equal(a.target, b.target)
-    np.testing.assert_allclose(a.mean, b.mean, rtol=1e-13)
-    np.testing.assert_allclose(a.se, b.se, rtol=1e-9)
+    for name in ("target", "mean", "se"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert (a.max_dev, a.dev_over_3se) == (b.max_dev, b.dev_over_3se)
 
 
 @pytest.mark.parametrize("n_paths, batch_size", [(0, 64), (1, 64), (10, 0),
@@ -305,15 +305,17 @@ def test_sde_summary_pins(pin_fields):
         "boundary_hits": 0.0}
 
 
+# Re-recorded when marginal_check began to sum all paths' final beliefs at
+# once instead of adding per-batch sums (the m=2 case runs in 5 batches).
 def test_marginal_report_pins():
     mdl = example_model(generator=[[-0.7, 0.7], [1.3, -1.3]])
     rep = marginal_check(mdl, np.array([0.6]), pi=0.5, t=0.1, n_paths=3000,
                          seed=6, batch_size=700)
-    assert rep.mean.tolist() == [0.6081625439987522, 0.3918374560012481]
-    assert rep.se.tolist() == [0.000859860545775307, 0.0008598605457754309]
+    assert rep.mean.tolist() == [0.6081625439987507, 0.3918374560012486]
+    assert rep.se.tolist() == [0.0008598605457757053, 0.0008598605457753555]
     assert rep.target.tolist() == [0.6090634623461009, 0.3909365376538991]
-    assert (rep.max_dev, rep.dev_over_3se) == (0.0009009183473490112,
-                                               0.34924979086252256)
+    assert (rep.max_dev, rep.dev_over_3se) == (0.000900918347350177,
+                                               0.34924979086286306)
     rep = marginal_check(_three_regimes(T=0.05), np.array([0.3, 0.5]), pi=1.5,
                          t=0.05, n_paths=2000, seed=7, h2=0.001)
     assert rep.mean.tolist() == [0.3010813085250145, 0.4788340310662444,
