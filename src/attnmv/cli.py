@@ -446,12 +446,16 @@ def cmd_check(cfg: RunConfig) -> int:
     fields = solve(model, spec, grid)
     lat = fields.lat
 
-    # one stencil batch and moment sweep per coefficient epoch
+    # one stencil batch and moment sweep per coefficient epoch; a batch that
+    # passes the strict build equals the masked one, so the later checks and
+    # the chain oracle take it from this cache
+    cache = StencilCache(model, lat, grid)
     mass_err, max_mass, all_valid = 0.0, 0.0, True
     worst_mean, worst_second = 0.0, 0.0
-    for t_epoch in model.time_breaks:
+    for e, t_epoch in enumerate(model.time_breaks):
         batch = build_stencil_batch(model, lat, float(t_epoch), u_arr, pi_arr,
                                     strict=True)
+        cache.batches[e] = batch
         mass_err = max(mass_err,
                        float(np.abs(batch.probs.sum(axis=1) - 1.0).max()))
         max_mass = max(max_mass, batch.max_mass)
@@ -471,7 +475,6 @@ def cmd_check(cfg: RunConfig) -> int:
 
     term_ok = np.array_equal(fields.V[-1], lat.x) and \
         np.array_equal(fields.g[-1], lat.x)
-    cache = StencilCache(model, lat, grid)
     cmat = _quad_coefficients(model, lat)
     worst_g = max(float(g_residuals(model, fields, n, cache).max())
                   for n in range(spec.n_steps))
@@ -486,7 +489,7 @@ def cmd_check(cfg: RunConfig) -> int:
     start = cfg.eval_node(lat)
     terminal = outdir / "terminal_wealth.csv" if cfg.dump_terminal else None
     mc = simulate_chain(model, fields, start, cfg.n_paths, cfg.seed,
-                        terminal_csv=terminal)
+                        terminal_csv=terminal, cache=cache)
     g0 = float(fields.g[0][start])
     dev = abs(mc.mean_XT - g0)
     record("g_consistency_mc", dev <= 3.0 * mc.se_mean,

@@ -243,18 +243,3 @@ def build_grid(spec: GridSpec, m: int) -> Lattice:
     """Enumerate the full lattice (deterministic lexicographic order)."""
     return Lattice(spec, m)
 
-
-def node_state(lat: Lattice, node_idx: int) -> tuple[float, FloatArray]:
-    return lat.node_state(node_idx)
-
-
-def clamp_neighbor(lat: Lattice, node_idx: int, outcome: int) -> int:
-    """Destination of a stencil displacement, projected into the grid."""
-    if not 0 <= outcome < lat.n_out:
-        raise DomainError(f"outcome {outcome} outside 0..{lat.n_out - 1}")
-    return int(lat.neighbors[node_idx, outcome])
-
-
-def simplex_point_count(K: int, mm: int) -> int:
-    """Number of nonnegative integer (mm)-vectors with sum <= K."""
-    return math.comb(K + mm, mm)

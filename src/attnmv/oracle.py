@@ -13,10 +13,15 @@ Two simulators cross-check the backward recursion:
 matrix exponential of the generator transpose: the belief mean follows
 the forward equation regardless of the attention level.
 
-Randomness contract: path ``i`` of a run with seed ``s`` draws from the
-generator seeded with ``(s, i)``, so paths do not depend on batching and
-identical seeds reproduce identical summaries.  Paths run in batches; one
-batch of streams (at most ~150 MB) is held at a time.
+Randomness contract: path ``i`` of a run with seed ``s`` draws the stream
+of ``np.random.default_rng([s, i])``, so paths do not depend on batching
+and identical seeds reproduce identical summaries.  The streams are not
+built one ``default_rng`` at a time: every path's PCG64 state comes from
+one vectorized pass that copies numpy's ``SeedSequence`` hashing and the
+PCG64 seeding step exactly, and a test checks the rows against
+``default_rng`` itself.  Seeds must be non-negative integers and path
+indices below ``2**64``.  Paths run in batches; one batch of streams (at
+most ~150 MB) is held at a time.
 """
 
 from __future__ import annotations
@@ -85,21 +90,105 @@ def write_terminal_csv(path, samples: FloatArray) -> None:
             fh.write(repr(float(v)) + "\n")
 
 
-def _batches(n_paths: int, batch_size: int) -> list[tuple[int, int]]:
+def _batches(n_paths: int, batch_size: int,
+             seed: int) -> list[tuple[int, int]]:
     """``(first, count)`` per batch; called before any path is simulated."""
     if n_paths < 2 or batch_size < 1:
         raise DomainError("need n_paths >= 2 and batch_size >= 1, got "
                           f"{n_paths} and {batch_size}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    if n_paths > 1 << 64:
+        raise DomainError(f"path indices must stay below 2**64, got {n_paths} "
+                          "paths")
     return [(first, min(batch_size, n_paths - first))
             for first in range(0, n_paths, batch_size)]
 
 
+# numpy's SeedSequence hash constants and the PCG64 LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _seed_states(entropy: list[np.ndarray]) -> np.ndarray:
+    """``SeedSequence(words).generate_state(4, np.uint64)`` per path.
+
+    ``entropy`` holds the uint32 entropy words, one (count,) array per
+    word; returns (count, 4) uint64.  The hash constants evolve the same
+    way for every path, so they stay Python ints.
+    """
+    hc = _INIT_A
+
+    def hashmix(v):
+        nonlocal hc
+        v = v ^ np.uint32(hc)
+        hc = hc * _MULT_A & _M32
+        v = v * np.uint32(hc)
+        return v ^ (v >> np.uint32(16))
+
+    def mix(x, y):
+        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return r ^ (r >> np.uint32(16))
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hc = _INIT_B
+    out = []
+    for i in range(8):
+        v = pool[i % 4] ^ np.uint32(hc)
+        hc = hc * _MULT_B & _M32
+        v = v * np.uint32(hc)
+        out.append((v ^ (v >> np.uint32(16))).astype(np.uint64))
+    return np.stack([out[2 * k] | out[2 * k + 1] << np.uint64(32)
+                     for k in range(4)], axis=1)
+
+
 def _path_streams(seed: int, first: int, count: int, shape: tuple,
                   draw: str) -> FloatArray:
-    """Rows of ``Generator.<draw>`` output, path ``i`` seeded ``(seed, i)``."""
+    """Rows of ``Generator.<draw>`` output, path ``i`` seeded ``(seed, i)``.
+
+    Row ``j`` equals ``default_rng([seed, first + j]).<draw>(shape)``: each
+    path's PCG64 state is set on one reused generator, as PCG64 seeding
+    sets it (``inc = 2 initseq + 1``, two LCG steps around ``initstate``).
+    """
     out = np.empty((count, *shape))
-    for j in range(count):
-        getattr(np.random.default_rng([seed, first + j]), draw)(out=out[j])
+    bitgen = np.random.PCG64(0)
+    fill = getattr(np.random.Generator(bitgen), draw)
+    inner = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0,
+             "uinteger": 0}
+    seed = int(seed)
+    seed_words = [(seed >> s) & _M32
+                  for s in range(0, max(seed.bit_length(), 1), 32)]
+    # a path index is one entropy word below 2**32 and two from there on
+    split = min(max(first, 1 << 32), first + count)
+    for lo, hi in ((first, split), (split, first + count)):
+        if lo == hi:
+            continue
+        idx = np.arange(hi - lo, dtype=np.uint64) + np.uint64(lo)
+        words = [np.full(hi - lo, w, dtype=np.uint32) for w in seed_words]
+        words.append((idx & np.uint64(_M32)).astype(np.uint32))
+        if lo >= 1 << 32:
+            words.append((idx >> np.uint64(32)).astype(np.uint32))
+        for j, row in enumerate(_seed_states(words), lo - first):
+            s_hi, s_lo, q_hi, q_lo = row.tolist()
+            inc = ((q_hi << 65) | (q_lo << 1) | 1) & _M128
+            inner["inc"] = inc
+            inner["state"] = (((s_hi << 64) + s_lo + inc) * _PCG_MULT
+                              + inc) & _M128
+            bitgen.state = state
+            fill(out=out[j])
     return out
 
 
@@ -149,7 +238,8 @@ def simulate_sde(model: RegimeModel, policy, t0: float, x0: float,
     lo, hi = x_bounds
     # keep per-batch increment storage near 150 MB
     batches = _batches(n_paths, min(
-        batch_size, max(256, int(20_000_000 // max(1, n_steps * (d + 1))))))
+        batch_size, max(256, int(20_000_000 // max(1, n_steps * (d + 1))))),
+        seed)
     times = [t0 + j * h2 for j in range(n_steps)]
     epochs = [model.epoch_of(t) for t in times]
     coeffs = {e: (model.riskfree_at(t), model.theta_at(t).T, model.vol_at(t))
@@ -186,18 +276,22 @@ def simulate_sde(model: RegimeModel, policy, t0: float, x0: float,
 def simulate_chain(model: RegimeModel, fields: SolutionFields, start_node: int,
                    n_paths: int, seed: int, *,
                    convention: str | None = None, batch_size: int = 8192,
-                   terminal_csv=None) -> McSummary:
+                   terminal_csv=None,
+                   cache: StencilCache | None = None) -> McSummary:
     """Simulate the approximating chain under the stored feedback policy.
 
     Uses the exact one-step stencils, so the expected terminal wealth
     equals ``g`` at the start node by construction.  ``boundary_hits`` is
-    the fraction of paths that ever occupy a wealth-boundary node.
+    the fraction of paths that ever occupy a wealth-boundary node.  A
+    ``cache`` already holding this model's batches saves building them.
     """
     lat = fields.lat
     N = fields.spec.n_steps
     batches = _batches(n_paths,
-                       min(batch_size, max(256, int(20_000_000 // max(1, N)))))
-    cache = StencilCache(model, lat, fields.grid)
+                       min(batch_size, max(256, int(20_000_000 // max(1, N)))),
+                       seed)
+    if cache is None:
+        cache = StencilCache(model, lat, fields.grid)
 
     def slice_thresholds(n):
         # (n_out - 1, n_nodes) cumulative weights, nondecreasing as the body
@@ -259,7 +353,7 @@ def marginal_check(model: RegimeModel, phi0: FloatArray, pi: float, t: float,
     if n_steps < 1 or abs(n_steps * h2 - t) > 1e-9 * max(1.0, t):
         raise DomainError(f"t {t} is not a multiple of the step {h2}")
     batches = _batches(n_paths, min(
-        batch_size, max(256, int(20_000_000 // max(1, n_steps)))))
+        batch_size, max(256, int(20_000_000 // max(1, n_steps)))), seed)
     sqrt_h2 = np.sqrt(h2)
 
     def walk(first: int, count: int):

@@ -195,6 +195,42 @@ def test_check_rejects_bad_path_count(tmp_path, capsys):
     assert "n_paths >= 2" in capsys.readouterr().err
 
 
+def test_check_rejects_negative_seed(tmp_path, capsys):
+    # rejected by the oracle's up-front check, not by numpy mid-run
+    cfgp = short_config(tmp_path)
+    out = tmp_path / "x"
+    rc = main(["check", "--config", str(cfgp), "--seed", "-1",
+               "--paths", "10", "--output-dir", str(out)])
+    assert rc == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not (out / "check_report.json").exists()
+
+
+def test_check_builds_two_batches_per_epoch(tmp_path, monkeypatch):
+    # one build inside solve and one strict build per epoch; the g-residual
+    # and spike checks and the chain oracle reuse the strict batches
+    import attnmv.cli
+    import attnmv.solver
+    from attnmv.kernel import build_stencil_batch
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return build_stencil_batch(*args, **kwargs)
+    monkeypatch.setattr(attnmv.cli, "build_stencil_batch", counted)
+    monkeypatch.setattr(attnmv.solver, "build_stencil_batch", counted)
+    with open(DEFAULT_CONFIG) as fh:
+        model = json.load(fh)["model"]
+    model["T"] = 0.05
+    model["riskfree"] = {"times": [0.0, 0.02], "values": [[0.03, 0.03],
+                                                          [0.05, 0.01]]}
+    cfgp = short_config(tmp_path, model=model)
+    rc = main(["check", "--config", str(cfgp),
+               "--output-dir", str(tmp_path / "x")])
+    assert rc == 0
+    assert sorted(calls) == [0.0, 0.0, 0.02, 0.02]
+
+
 def test_refine_cauchy_table(tmp_path):
     cfgp = short_config(tmp_path)
     out = tmp_path / "refine"

@@ -1,9 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from attnmv.errors import ConfigError, DomainError
-from attnmv.lattice import (GridSpec, build_grid, clamp_neighbor, node_state,
-                            outcome_offsets, simplex_point_count)
+from attnmv.lattice import GridSpec, build_grid, outcome_offsets
 
 
 def make_spec(h1=0.2, h2=0.001, x_min=0.0, x_max=4.0, n_steps=2000):
@@ -37,18 +38,18 @@ def test_coarse_h1_without_vertex():
 def test_simplex_count_matches_binomial():
     for h1, m in [(0.2, 2), (0.2, 3), (0.5, 3), (0.25, 4)]:
         lat = build_grid(make_spec(h1=h1, x_max=1.0 if h1 == 0.25 else 4.0), m)
-        assert lat.n_phi == simplex_point_count(lat.K, m - 1)
+        assert lat.n_phi == math.comb(lat.K + m - 1, m - 1)
 
 
 def test_node_state_values():
     lat = build_grid(make_spec(), 2)
-    x, phi = node_state(lat, int(lat.index_of(0, np.array([0]))))
+    x, phi = lat.node_state(int(lat.index_of(0, np.array([0]))))
     assert x == 0.0
-    x, phi = node_state(lat, int(lat.index_of(7, np.array([5]))))
+    x, phi = lat.node_state(int(lat.index_of(7, np.array([5]))))
     assert x == pytest.approx(1.4)
     assert phi[0] == pytest.approx(1.0)
     with pytest.raises(DomainError):
-        node_state(lat, lat.n_nodes)
+        lat.node_state(lat.n_nodes)
 
 
 def test_roundtrip_indexing():
@@ -76,24 +77,24 @@ def test_clamp_interior_and_boundary():
     lat = build_grid(make_spec(), 2)
     interior = int(lat.index_of(5, np.array([2])))
     # outcome 1 = x + h1
-    assert clamp_neighbor(lat, interior, 1) == int(lat.index_of(6, np.array([2])))
+    assert int(lat.neighbors[interior, 1]) == int(lat.index_of(6, np.array([2])))
     top = int(lat.index_of(lat.n_x - 1, np.array([2])))
-    assert clamp_neighbor(lat, top, 1) == top
+    assert int(lat.neighbors[top, 1]) == top
     vertex = int(lat.index_of(5, np.array([5])))
     # outcome 3 = phi1 + h1 runs off the simplex: move cancelled
-    assert clamp_neighbor(lat, vertex, 3) == vertex
+    assert int(lat.neighbors[vertex, 3]) == vertex
     zero = int(lat.index_of(5, np.array([0])))
-    assert clamp_neighbor(lat, zero, 4) == zero
+    assert int(lat.neighbors[zero, 4]) == zero
 
 
 def test_clamp_idempotent_and_in_grid():
     lat = build_grid(make_spec(h1=0.5, x_max=2.0), 3)
     for idx in range(lat.n_nodes):
         for o in range(lat.n_out):
-            dest = clamp_neighbor(lat, idx, o)
+            dest = int(lat.neighbors[idx, o])
             assert 0 <= dest < lat.n_nodes
             # moving "nowhere" from the destination is the destination
-            assert clamp_neighbor(lat, dest, 0) == dest
+            assert int(lat.neighbors[dest, 0]) == dest
 
 
 def test_outcome_catalog_size():
@@ -129,7 +130,7 @@ def test_negative_wealth_range():
     lat = build_grid(make_spec(x_min=-1.0, x_max=1.0), 2)
     assert lat.n_x == 11
     assert lat.x.min() == -1.0
-    x, _ = node_state(lat, int(lat.index_of(2, np.array([0]))))
+    x, _ = lat.node_state(int(lat.index_of(2, np.array([0]))))
     assert x == pytest.approx(-0.6)
 
 

@@ -5,8 +5,9 @@ from scipy.linalg import expm
 from attnmv.errors import DomainError
 from attnmv.lattice import GridSpec
 from attnmv.market import example_model
-from attnmv.oracle import (ConstantPolicy, FeedbackPolicy, marginal_check,
-                           simulate_chain, simulate_sde, summarize)
+from attnmv.oracle import (ConstantPolicy, FeedbackPolicy, _path_streams,
+                           marginal_check, simulate_chain, simulate_sde,
+                           summarize)
 from attnmv.solver import ControlGrid, solve
 
 
@@ -204,12 +205,13 @@ def test_marginal_batching_invariance():
 
 
 @pytest.mark.parametrize("n_paths, batch_size", [(0, 64), (1, 64), (10, 0),
-                                                 (10, -3)])
+                                                 (10, -3), (2**64 + 1, 64)])
 def test_oracles_reject_bad_counts_up_front(short_fields, monkeypatch,
                                             n_paths, batch_size):
     # rejected before any path is drawn: batch_size=0 used to loop forever
     # in marginal_check, n_paths=0 gave NaN means, and the chain and SDE
-    # simulated every path before the summary raised
+    # simulated every path before the summary raised; path indices must
+    # fit the two entropy words the seeding handles
     mdl, spec, fields = short_fields
 
     def no_streams(*args):
@@ -226,6 +228,38 @@ def test_oracles_reject_bad_counts_up_front(short_fields, monkeypatch,
     with pytest.raises(DomainError):
         marginal_check(mdl, np.array([0.2]), 1.0, 0.1, n_paths, seed=1,
                        batch_size=batch_size)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+def test_oracles_reject_bad_seed_up_front(short_fields, monkeypatch, seed):
+    # numpy raised only when the first stream was seeded
+    mdl, spec, fields = short_fields
+
+    def no_streams(*args):
+        raise AssertionError("a path was simulated")
+    monkeypatch.setattr("attnmv.oracle._path_streams", no_streams)
+    start = int(fields.lat.index_of(10, np.array([1])))
+    with pytest.raises(DomainError, match="seed"):
+        simulate_chain(mdl, fields, start, 10, seed=seed)
+    with pytest.raises(DomainError, match="seed"):
+        simulate_sde(mdl, ConstantPolicy([1.0], 1.0), 0.0, 2.0,
+                     np.array([0.2]), 10, seed=seed, h2=spec.h2,
+                     x_bounds=(spec.x_min, spec.x_max))
+    with pytest.raises(DomainError, match="seed"):
+        marginal_check(mdl, np.array([0.2]), 1.0, 0.1, 10, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**32 + 5, 2**70 + 5, 2**130 + 1])
+@pytest.mark.parametrize("first", [0, 11, 2**32 - 2])
+@pytest.mark.parametrize("draw", ["random", "standard_normal"])
+@pytest.mark.parametrize("shape", [(6,), (6, 2)])
+def test_path_streams_equal_default_rng(seed, first, draw, shape):
+    # the vectorized seeding must reproduce numpy's own; the last `first`
+    # crosses into two-word path indices
+    rows = _path_streams(seed, first, 5, shape, draw)
+    for j in range(5):
+        want = getattr(np.random.default_rng([seed, first + j]), draw)(shape)
+        np.testing.assert_array_equal(rows[j], want)
 
 
 # Exact pins, recorded before the oracles' step loops were rewritten for
