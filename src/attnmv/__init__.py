@@ -14,30 +14,22 @@ __version__ = "0.1.0"
 from .errors import ConfigError, DomainError, SchemeError
 from .filtering import (filter_diffusion, filter_drift, filter_step,
                         full_belief, zeta_bar)
-from .kernel import (TransitionStencil, check_local_consistency,
-                     diffusion_bar_sq, drift_bar, stencil)
-from .lattice import GridSpec, Lattice, LatticeNode, build_grid
-from .market import (ControlPoint, RegimeModel, example_model, info_cost,
-                     load_model, theta, validate_model)
+from .lattice import GridSpec, Lattice, build_grid
+from .market import RegimeModel, example_model, validate_model
 from .oracle import (ConstantPolicy, FeedbackPolicy, McSummary,
                      marginal_check, simulate_chain, simulate_sde)
-from .solver import (ControlGrid, SolutionFields, candidate_value,
-                     g_correction, optimize_node, ratio_policy, solve,
-                     spike_check, spike_margins, step_back)
+from .solver import (ControlGrid, SolutionFields, ratio_policy, solve,
+                     spike_margins, step_back)
 
 __all__ = [
     "ConfigError", "DomainError", "SchemeError",
     "filter_diffusion", "filter_drift", "filter_step", "full_belief",
     "zeta_bar",
-    "TransitionStencil", "check_local_consistency", "diffusion_bar_sq",
-    "drift_bar", "stencil",
-    "GridSpec", "Lattice", "LatticeNode", "build_grid",
-    "ControlPoint", "RegimeModel", "example_model", "info_cost",
-    "load_model", "theta", "validate_model",
+    "GridSpec", "Lattice", "build_grid",
+    "RegimeModel", "example_model", "validate_model",
     "ConstantPolicy", "FeedbackPolicy", "McSummary", "marginal_check",
     "simulate_chain", "simulate_sde",
-    "ControlGrid", "SolutionFields", "candidate_value", "g_correction",
-    "optimize_node", "ratio_policy", "solve", "spike_check",
+    "ControlGrid", "SolutionFields", "ratio_policy", "solve",
     "spike_margins", "step_back",
     "__version__",
 ]

@@ -17,7 +17,7 @@ import logging
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,17 +27,16 @@ from .errors import (EXIT_CONFIG, EXIT_OK, EXIT_PROPERTY, EXIT_SCHEME,
                      ConfigError, DomainError, SchemeError)
 from .kernel import build_stencil_batch, consistency_sweep
 from .lattice import GridSpec
-from .market import CONVENTIONS, RegimeModel, validate_model
+from .market import CONVENTIONS, RegimeModel, example_model, validate_model
 from .oracle import marginal_check, simulate_chain
-from .solver import (ControlGrid, SolutionFields, StencilCache,
-                     _quad_coefficients, g_residuals, ratio_policy, solve,
-                     spike_margins)
+from .solver import (ControlGrid, SolutionFields, StencilCache, g_residuals,
+                     ratio_policy, solve, spike_margins)
 
 log = logging.getLogger("attnmv")
 
 DEFAULT_GRID = {"h1": 0.2, "h2": 0.001, "x_min": 0.0, "x_max": 4.0}
 DEFAULT_CONTROLS = {"u_max": 2.0, "du": 0.5, "n_pi": 5}
-DEFAULT_ORACLE = {"n_paths": 100_000, "seed": 20240901, "sde_h2": None}
+DEFAULT_ORACLE = {"n_paths": 100_000, "seed": 20240901}
 DEFAULT_EVAL = {"t": 1.0, "x": 2.0, "phi": [0.2]}
 
 
@@ -55,7 +54,6 @@ class RunConfig:
     n_pi: int
     n_paths: int
     seed: int
-    sde_h2: float | None
     eval_t: float
     eval_x: float
     eval_phi: list[float]
@@ -92,7 +90,6 @@ class RunConfig:
 
     def effective_model(self) -> RegimeModel:
         if self.convention and self.convention != self.model.objective_convention:
-            from dataclasses import replace
             return replace(self.model, objective_convention=self.convention)
         return self.model
 
@@ -115,11 +112,7 @@ class RunConfig:
 
     def eval_slice(self, spec: GridSpec, *, refine: bool = False) -> int:
         t = self.refine_t if refine and self.refine_t is not None else self.eval_t
-        n = round(t / spec.h2)
-        if not math.isclose(n * spec.h2, t, rel_tol=1e-9, abs_tol=1e-12) \
-                or not 0 <= n <= spec.n_steps:
-            raise ConfigError(f"evaluation t={t} not on the time grid")
-        return int(n)
+        return _slice_of(spec, t, f"evaluation t={t}")
 
     def to_dict(self) -> dict:
         return {
@@ -128,8 +121,7 @@ class RunConfig:
                      "x_min": self.x_min, "x_max": self.x_max,
                      "n_steps": int(round(self.model.T / self.h2))},
             "controls": {"u_max": self.u_max, "du": self.du, "n_pi": self.n_pi},
-            "oracle": {"n_paths": self.n_paths, "seed": self.seed,
-                       "sde_h2": self.sde_h2},
+            "oracle": {"n_paths": self.n_paths, "seed": self.seed},
             "eval": {"t": self.eval_t, "x": self.eval_x, "phi": self.eval_phi},
             "refine_eval": {"t": self.refine_t, "x": self.refine_x,
                             "phi": self.refine_phi},
@@ -143,86 +135,26 @@ class RunConfig:
         }
 
 
-def load_config(path: str | Path | None, overrides: argparse.Namespace | None = None,
-                ) -> RunConfig:
-    """Merge file config (if any), built-in defaults and CLI flags."""
-    raw: dict = {}
-    if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file {p} does not exist")
-        with open(p) as fh:
-            raw = json.load(fh)
-    if "model" not in raw:
-        from .market import example_model
-        model = example_model()
-    else:
-        model = RegimeModel.from_dict(raw["model"])
-    bad = validate_model(model)
-    if bad:
-        raise ConfigError("invalid model: " + "; ".join(bad))
+def _slice_of(spec: GridSpec, t: float, what: str) -> int:
+    """Index of the time slice at ``t``; ``what`` names ``t`` if it is off-grid."""
+    n = round(t / spec.h2)
+    if not math.isclose(n * spec.h2, t, rel_tol=1e-9, abs_tol=1e-12) \
+            or not 0 <= n <= spec.n_steps:
+        raise ConfigError(f"{what} not on the time grid")
+    return int(n)
 
-    grid = {**DEFAULT_GRID, **raw.get("grid", {})}
-    controls = {**DEFAULT_CONTROLS, **raw.get("controls", {})}
-    oracle = {**DEFAULT_ORACLE, **raw.get("oracle", {})}
-    ev = {**DEFAULT_EVAL, **raw.get("eval", {})}
-    grid.pop("n_steps", None)   # derived from T and h2
 
-    cfg = RunConfig(
-        model=model,
-        h1=float(grid["h1"]), h2=float(grid["h2"]),
-        x_min=float(grid["x_min"]), x_max=float(grid["x_max"]),
-        u_max=float(controls["u_max"]), du=float(controls["du"]),
-        n_pi=int(controls["n_pi"]),
-        n_paths=int(oracle["n_paths"]), seed=int(oracle["seed"]),
-        sde_h2=None if oracle.get("sde_h2") is None else float(oracle["sde_h2"]),
-        eval_t=float(ev["t"]), eval_x=float(ev["x"]),
-        eval_phi=[float(v) for v in ev["phi"]],
-        refine_t=None, refine_x=None, refine_phi=None,
-        sweep_k=[float(k) for k in raw.get("sweep_k", [0.1, 0.3, 0.5])],
-        ladder=[tuple(map(float, r)) for r in
-                raw.get("ladder", [[0.4, 0.004], [0.2, 0.001], [0.1, 0.00025]])],
-        convention=raw.get("convention"),
-        slice_times=[float(t) for t in raw.get("slice_times", [0.0, 1.0])],
-        refine_tol=float(raw.get("refine_tol", 1e-2)),
-        output_dir=Path(raw.get("output_dir", "out")),
-    )
-    rev = raw.get("refine_eval")
-    if rev:
-        cfg.refine_t = None if rev.get("t") is None else float(rev["t"])
-        cfg.refine_x = None if rev.get("x") is None else float(rev["x"])
-        cfg.refine_phi = (None if rev.get("phi") is None
-                          else [float(v) for v in rev["phi"]])
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a fraction or a non-number is a ConfigError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
-    if overrides is not None:
-        o = overrides
-        if getattr(o, "h1", None) is not None:
-            cfg.h1 = o.h1
-        if getattr(o, "h2", None) is not None:
-            cfg.h2 = o.h2
-        if getattr(o, "seed", None) is not None:
-            cfg.seed = o.seed
-        if getattr(o, "paths", None) is not None:
-            cfg.n_paths = o.paths
-        if getattr(o, "output_dir", None) is not None:
-            cfg.output_dir = Path(o.output_dir)
-        if getattr(o, "convention", None) is not None:
-            cfg.convention = o.convention
-        if getattr(o, "sweep_k", None) is not None:
-            cfg.sweep_k = [float(v) for v in o.sweep_k.split(",") if v]
-        if getattr(o, "ladder", None) is not None:
-            cfg.ladder = _parse_ladder(o.ladder)
-        if getattr(o, "slice_times", None) is not None:
-            cfg.slice_times = [float(v) for v in o.slice_times.split(",") if v]
-        if getattr(o, "debug_stencils", False):
-            cfg.debug_stencils = True
-        if getattr(o, "policy_override", None) is not None:
-            cfg.policy_override = Path(o.policy_override)
-        if getattr(o, "dump_terminal", False):
-            cfg.dump_terminal = True
-    if cfg.convention is not None and cfg.convention not in CONVENTIONS:
-        raise ConfigError(f"convention must be one of {CONVENTIONS}")
-    return cfg
+
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",") if v]
 
 
 def _parse_ladder(text: str) -> list[tuple[float, float]]:
@@ -238,6 +170,77 @@ def _parse_ladder(text: str) -> list[tuple[float, float]]:
     if not rungs:
         raise ConfigError("empty refinement ladder")
     return rungs
+
+
+# (command-line flag, RunConfig field, converter); a flag left unset keeps
+# the configured value
+_FLAGS = (
+    ("h1", "h1", float), ("h2", "h2", float),
+    ("seed", "seed", lambda v: _integer(v, "seed")),
+    ("paths", "n_paths", lambda v: _integer(v, "paths")),
+    ("output_dir", "output_dir", Path), ("convention", "convention", str),
+    ("sweep_k", "sweep_k", _floats), ("ladder", "ladder", _parse_ladder),
+    ("slice_times", "slice_times", _floats),
+    ("debug_stencils", "debug_stencils", bool),
+    ("policy_override", "policy_override", Path),
+    ("dump_terminal", "dump_terminal", bool),
+)
+
+
+def load_config(path: str | Path | None, overrides: argparse.Namespace | None = None,
+                ) -> RunConfig:
+    """Merge file config (if any), built-in defaults and CLI flags."""
+    raw: dict = {}
+    if path is not None:
+        p = Path(path)
+        if not p.exists():
+            raise ConfigError(f"config file {p} does not exist")
+        with open(p) as fh:
+            raw = json.load(fh)
+    model = RegimeModel.from_dict(raw["model"]) if "model" in raw \
+        else example_model()
+    bad = validate_model(model)
+    if bad:
+        raise ConfigError("invalid model: " + "; ".join(bad))
+
+    grid = {**DEFAULT_GRID, **raw.get("grid", {})}
+    controls = {**DEFAULT_CONTROLS, **raw.get("controls", {})}
+    oracle = {**DEFAULT_ORACLE, **raw.get("oracle", {})}
+    ev = {**DEFAULT_EVAL, **raw.get("eval", {})}
+    grid.pop("n_steps", None)   # derived from T and h2
+
+    cfg = RunConfig(
+        model=model,
+        h1=float(grid["h1"]), h2=float(grid["h2"]),
+        x_min=float(grid["x_min"]), x_max=float(grid["x_max"]),
+        u_max=float(controls["u_max"]), du=float(controls["du"]),
+        n_pi=_integer(controls["n_pi"], "controls.n_pi"),
+        n_paths=_integer(oracle["n_paths"], "oracle.n_paths"),
+        seed=_integer(oracle["seed"], "oracle.seed"),
+        eval_t=float(ev["t"]), eval_x=float(ev["x"]),
+        eval_phi=[float(v) for v in ev["phi"]],
+        sweep_k=[float(k) for k in raw.get("sweep_k", [0.1, 0.3, 0.5])],
+        ladder=[tuple(map(float, r)) for r in
+                raw.get("ladder", [[0.4, 0.004], [0.2, 0.001], [0.1, 0.00025]])],
+        convention=raw.get("convention"),
+        slice_times=[float(t) for t in raw.get("slice_times", [0.0, 1.0])],
+        refine_tol=float(raw.get("refine_tol", 1e-2)),
+        output_dir=Path(raw.get("output_dir", "out")),
+    )
+    rev = raw.get("refine_eval")
+    if rev:
+        cfg.refine_t = None if rev.get("t") is None else float(rev["t"])
+        cfg.refine_x = None if rev.get("x") is None else float(rev["x"])
+        cfg.refine_phi = (None if rev.get("phi") is None
+                          else [float(v) for v in rev["phi"]])
+
+    for flag, name, convert in _FLAGS:
+        value = getattr(overrides, flag, None)
+        if value is not None and value is not False:
+            setattr(cfg, name, convert(value))
+    if cfg.convention is not None and cfg.convention not in CONVENTIONS:
+        raise ConfigError(f"convention must be one of {CONVENTIONS}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +329,6 @@ def cmd_solve(cfg: RunConfig) -> int:
     timer = _Timer(outdir)
     model = cfg.effective_model()
     spec = cfg.grid_spec()
-    spec.check_horizon(model.T)
     grid = cfg.control_grid()
     fields = solve(model, spec, grid, progress=True)
     lat = fields.lat
@@ -334,11 +336,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
     artifacts = []
     for t in cfg.slice_times:
-        n = round(t / spec.h2)
-        if not math.isclose(n * spec.h2, t, rel_tol=1e-9, abs_tol=1e-12) \
-                or not 0 <= n <= spec.n_steps:
-            raise ConfigError(f"slice time {t} not on the time grid")
-        header, cols = _slice_table(fields, int(n))
+        header, cols = _slice_table(fields, _slice_of(spec, t, f"slice time {t}"))
         name = f"slice_t{_fmt(t)}.csv"
         write_csv(outdir / name, header, cols)
         artifacts.append(name)
@@ -475,14 +473,13 @@ def cmd_check(cfg: RunConfig) -> int:
 
     term_ok = np.array_equal(fields.V[-1], lat.x) and \
         np.array_equal(fields.g[-1], lat.x)
-    cmat = _quad_coefficients(model, lat)
     worst_g = max(float(g_residuals(model, fields, n, cache).max())
                   for n in range(spec.n_steps))
     record("terminal_and_propagation", term_ok and worst_g <= 1e-12,
            terminal_exact=term_ok, g_residual_max=worst_g)
 
     worst_margin = min(
-        float(spike_margins(model, fields, n, cache=cache, cmat=cmat).min())
+        float(spike_margins(model, fields, n, cache=cache).min())
         for n in range(spec.n_steps))
     record("spike_margins", worst_margin >= -1e-12, min_margin=worst_margin)
 
@@ -524,7 +521,6 @@ def cmd_refine(cfg: RunConfig) -> int:
     values, diffs, bhits = [], [], []
     for h1, h2 in cfg.ladder:
         spec = cfg.grid_spec(h1=h1, h2=h2)
-        spec.check_horizon(model.T)
         fields = solve(model, spec, grid)
         node = cfg.eval_node(fields.lat, refine=True)
         n_eval = cfg.eval_slice(spec, refine=True)

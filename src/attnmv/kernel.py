@@ -30,7 +30,8 @@ Every law is built by ``_coefficients`` for all controls of an epoch at
 once, keeping the operation order of a one-control build, so row ``c`` of
 a batch is bit-identical to a build of control ``c`` alone; ``_validate``
 is the one check that clips float dust, closes the self mass and masks or
-rejects invalid laws.
+rejects invalid laws.  There is no single-node builder: the law of one
+(node, control) pair is column ``n`` of row ``c`` of ``build_stencil_batch``.
 """
 
 from __future__ import annotations
@@ -47,28 +48,6 @@ from .market import FloatArray, RegimeModel
 #: entries more negative than this (relative to the coefficient scale) are
 #: genuine scheme failures; tinier negatives are float cancellation noise
 _NEG_TOL = 1e-13
-
-
-def drift_bar(model: RegimeModel, t: float, x, phi, u, pi):
-    """Belief-averaged wealth drift r*x + theta'u - k*pi^2*x."""
-    x = np.asarray(x, dtype=np.float64)
-    full = full_belief(phi, m=model.m)
-    r = model.riskfree_at(t)
-    th_u = model.theta_at(t) @ np.asarray(u, dtype=np.float64)   # (m,)
-    cost = model.cost_coeff * pi * pi * x
-    per_regime = r * x[..., None] + th_u
-    out = (full * per_regime).sum(axis=-1) - cost
-    return float(out) if out.ndim == 0 else out
-
-
-def diffusion_bar_sq(model: RegimeModel, t: float, x, phi, u):
-    """Squared norm of the belief-averaged volatility row u' sigma."""
-    full = full_belief(phi, m=model.m)
-    usig = np.einsum("l,mlj->mj", np.asarray(u, dtype=np.float64),
-                     model.vol_at(t))                            # (m, d)
-    sbar = full @ usig                                           # (..., d)
-    out = (sbar * sbar).sum(axis=-1)
-    return float(out) if out.ndim == 0 else out
 
 
 def _coefficients(model: RegimeModel, lat: Lattice, t: float, u_arr, pi_arr):
@@ -127,11 +106,6 @@ def _coefficients(model: RegimeModel, lat: Lattice, t: float, u_arr, pi_arr):
     return probs, bbar, qtil, ssT, a
 
 
-def _one(u, pi):
-    """One control as a batch of one: ``(u_arr, pi_arr)``."""
-    return np.asarray(u, dtype=np.float64)[None, :], np.array([float(pi)])
-
-
 def _stay_closed_form(bbar, qtil, ssT, a, h1, h2):
     """Self-transition mass from its closed-form expression (diagnostic).
 
@@ -144,52 +118,14 @@ def _stay_closed_form(bbar, qtil, ssT, a, h1, h2):
         + 1.0
 
 
-def stay_probability_closed_form(model, lat, t, u, pi):
-    """Closed-form self-transition mass for one control (all nodes)."""
-    _, bbar, qtil, ssT, a = _coefficients(model, lat, t, *_one(u, pi))
-    return _stay_closed_form(bbar, qtil, ssT, a, lat.spec.h1, lat.spec.h2)[0]
-
-
-@dataclass
-class TransitionStencil:
-    """Transition probabilities from one node under one control.
-
-    ``p_cross[i, k, 0]`` / ``p_cross[i, k, 1]`` are the weights of the
-    paired moves +-(e_i + e_k) and +-(e_i - e_k) for the ordered pair
-    (i, k); each applies to both displacement signs.
-    """
-
-    p_stay: float
-    p_x: FloatArray          # (2,): +h1, -h1
-    p_phi: FloatArray        # (m-1, 2): +h1, -h1 per coordinate
-    p_cross: FloatArray      # (m-1, m-1, 2), zero diagonal
-
-    def probs(self) -> FloatArray:
-        """Flatten to the lattice outcome catalog order."""
-        mm = self.p_phi.shape[0]
-        out = [self.p_stay, self.p_x[0], self.p_x[1]]
-        for i in range(mm):
-            out += [self.p_phi[i, 0], self.p_phi[i, 1]]
-        for i in range(mm):
-            for k in range(mm):
-                if i == k:
-                    continue
-                ap, am = self.p_cross[i, k]
-                out += [ap, ap, am, am]
-        return np.array(out)
-
-    def mass(self) -> float:
-        return float(self.probs().sum())
-
-
-def _validate(probs, a, *, strict: bool, first_node: int = 0):
+def _validate(probs, a, *, strict: bool):
     """Clip float dust, close the self mass and mark or reject invalid laws.
 
     ``probs`` (n_c, n_out, n) is updated in place; ``a`` (n_c, n, m-1, m-1)
     sets each control's tolerance for negative weights.  Returns ``(valid,
     nonstay)``, both (n_c, n).  With ``strict`` the first invalid control
     raises, its body weights checked before its self mass, as a loop over
-    controls would; column ``j`` is reported as node ``first_node + j``.
+    controls would.
     """
     scale = np.abs(a).max(axis=(1, 2, 3), initial=0.0)
     tol = _NEG_TOL * np.maximum(1.0, scale)
@@ -208,41 +144,22 @@ def _validate(probs, a, *, strict: bool, first_node: int = 0):
         if bad[ci].any():
             o, n = np.unravel_index(np.argmax(bad[ci]), bad[ci].shape)
             raise SchemeError(
-                f"negative transition weight at node {first_node + n}, "
+                f"negative transition weight at node {n}, "
                 f"outcome {o + 1}, control {ci} ({body[ci, o, n]:.3e}); "
                 "belief diffusion not diagonally dominant, no time-step "
                 "reduction can fix this",
-                node=first_node + int(n), control=ci, entry=int(o + 1),
+                node=int(n), control=ci, entry=int(o + 1),
                 value=float(body[ci, o, n]), shrink=None)
         n = int(np.argmin(stay[ci]))
         raise SchemeError(
-            f"self-transition probability at node {first_node + n}, control "
+            f"self-transition probability at node {n}, control "
             f"{ci} is negative ({stay[ci, n]:.3e}): time step too large; h2 "
             f"must shrink by at least a factor {1.0 / nonstay[ci, n]:.6g}",
-            node=first_node + n, control=ci, entry=0,
+            node=n, control=ci, entry=0,
             value=float(stay[ci, n]), shrink=float(1.0 / nonstay[ci, n]))
     body[...] = clipped
     probs[:, 0] = stay
     return valid, nonstay
-
-
-def stencil(model: RegimeModel, lat: Lattice, t: float, node_idx: int,
-            u, pi) -> TransitionStencil:
-    """Build the validated transition stencil for one node and control.
-
-    Its weights are column ``node_idx`` of this control's stencil batch.
-    """
-    probs, *_, a = _coefficients(model, lat, t, *_one(u, pi))
-    sel = slice(node_idx, node_idx + 1)
-    _validate(probs[:, :, sel], a[:, sel], strict=True, first_node=node_idx)
-    col = probs[0, :, node_idx]
-    mm = model.m - 1
-    p_phi = col[3:3 + 2 * mm].reshape(mm, 2).copy()
-    p_cross = np.zeros((mm, mm, 2))      # ordered pairs i != k, row-major
-    p_cross[~np.eye(mm, dtype=bool)] = col[3 + 2 * mm:].reshape(-1, 4)[:, ::2]
-    return TransitionStencil(p_stay=float(col[0]),
-                             p_x=np.array([col[1], col[2]]),
-                             p_phi=p_phi, p_cross=p_cross)
 
 
 @dataclass
@@ -286,9 +203,6 @@ class ConsistencyReport:
     second_dev: float        # max |CentralMoment2[dY] - Sigma Sigma' h2|
     second_scale: float      # second_dev / (h1 * h2)
 
-    def ok(self, mean_tol: float = 1e-12, second_scale_tol: float = 5.0) -> bool:
-        return self.mean_dev <= mean_tol and self.second_scale <= second_scale_tol
-
 
 def _moment_deviations(model: RegimeModel, lat: Lattice, t: float,
                        u_arr: FloatArray, pi_arr: FloatArray):
@@ -309,26 +223,6 @@ def _moment_deviations(model: RegimeModel, lat: Lattice, t: float,
     target[:, :, 1:, 1:] = a * h2
     second_dev = np.abs(second - target).max(axis=(2, 3))
     return mean_dev, second_dev
-
-
-def moment_deviations(model: RegimeModel, lat: Lattice, t: float, u, pi):
-    """Per-node moment deviations for one control (vectorized).
-
-    Returns ``(mean_dev, second_dev)`` arrays of shape (n_nodes,), using
-    the raw displacement catalog (no boundary projection).
-    """
-    mean_dev, second_dev = _moment_deviations(model, lat, t, *_one(u, pi))
-    return mean_dev[0], second_dev[0]
-
-
-def check_local_consistency(model: RegimeModel, lat: Lattice, t: float,
-                            node_idx: int, u, pi) -> ConsistencyReport:
-    """Moment check for a single node and control."""
-    mean_dev, second_dev = moment_deviations(model, lat, t, u, pi)
-    h1h2 = lat.spec.h1 * lat.spec.h2
-    return ConsistencyReport(mean_dev=float(mean_dev[node_idx]),
-                             second_dev=float(second_dev[node_idx]),
-                             second_scale=float(second_dev[node_idx]) / h1h2)
 
 
 def consistency_sweep(model: RegimeModel, lat: Lattice, t: float,

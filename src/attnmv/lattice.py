@@ -76,14 +76,6 @@ class GridSpec:
                 f"n_steps * h2 = {self.horizon} does not equal the horizon {T}")
 
 
-@dataclass(frozen=True)
-class LatticeNode:
-    """Integer coordinates of one grid point."""
-
-    ix: int
-    iphi: tuple[int, ...]
-
-
 def outcome_offsets(m: int) -> list[tuple[int, FloatArray]]:
     """Canonical displacement catalog: (dx_steps, dphi_steps) per outcome.
 
@@ -109,11 +101,6 @@ def outcome_offsets(m: int) -> list[tuple[int, FloatArray]]:
             ek[k] = 1
             out += [(0, ei + ek), (0, -(ei + ek)), (0, ei - ek), (0, -(ei - ek))]
     return out
-
-
-def n_outcomes(m: int) -> int:
-    mm = m - 1
-    return 3 + 2 * mm + 4 * mm * (mm - 1)
 
 
 class Lattice:
@@ -188,9 +175,6 @@ class Lattice:
     def index_of(self, ix, iphi) -> np.ndarray:
         row = self.phi_row_of(iphi)
         return np.asarray(ix, dtype=np.int64) * self.n_phi + row
-
-    def node_of(self, node_idx: int) -> LatticeNode:
-        return LatticeNode(int(self.ix[node_idx]), tuple(int(v) for v in self.iphi[node_idx]))
 
     def _build_neighbors(self):
         nbr = np.empty((self.n_nodes, self.n_out), dtype=np.int64)

@@ -13,9 +13,7 @@ single row (constant coefficients).  Regimes are indexed ``0 .. m-1``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
@@ -245,40 +243,6 @@ def validate_model(model: RegimeModel) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class ControlPoint:
-    """One admissible control: dollar positions ``u`` and attention ``pi``."""
-
-    u: FloatArray
-    pi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", np.atleast_1d(np.asarray(self.u, dtype=np.float64)))
-
-    def validate(self, model: RegimeModel) -> None:
-        if np.any(self.u < 0):
-            raise DomainError(f"u must be componentwise >= 0, got {self.u}")
-        if not (model.attention_min <= self.pi <= model.attention_max):
-            raise DomainError(
-                f"attention {self.pi} outside "
-                f"[{model.attention_min}, {model.attention_max}]")
-
-
-def theta(model: RegimeModel, t: float, regime: int) -> FloatArray:
-    """Excess return vector mu(t, regime) - r(t, regime) * 1."""
-    if not 0 <= regime < model.m:
-        raise DomainError(f"regime {regime} outside 0..{model.m - 1}")
-    return model.theta_at(t)[regime]
-
-
-def info_cost(model: RegimeModel, pi: float, x: float) -> float:
-    """Attention cost per year, k * pi**2 * x (signed in wealth)."""
-    if not (model.attention_min <= pi <= model.attention_max):
-        raise DomainError(
-            f"attention {pi} outside [{model.attention_min}, {model.attention_max}]")
-    return model.cost_coeff * pi * pi * x
-
-
 def example_model(**overrides) -> RegimeModel:
     """The repository's illustrative two-regime, one-asset default market.
 
@@ -303,14 +267,3 @@ def example_model(**overrides) -> RegimeModel:
     }
     cfg.update(overrides)
     return RegimeModel.from_dict(cfg)
-
-
-def load_model(path: str | Path) -> RegimeModel:
-    """Load a model from a JSON config file."""
-    with open(path) as fh:
-        cfg = json.load(fh)
-    model = RegimeModel.from_dict(cfg.get("model", cfg))
-    bad = validate_model(model)
-    if bad:
-        raise ConfigError("invalid model: " + "; ".join(bad))
-    return model

@@ -16,9 +16,10 @@ under the equilibrium feedback law).  Stepping from slice ``n+1`` to ``n``:
 
 Terminal condition: both fields equal the node wealth.
 
-The per-slice minimization recomputes bit-identically, so the one-step
-("spike") deviation margin of a solved run is exactly zero and any
-corrupted policy shows a strictly negative margin.
+A candidate value is only ever a row of ``_candidates``: the sweep and
+the one-step ("spike") check evaluate the same (control, node) table from
+the same cached stencil batch, so the spike margin of a solved run is
+exactly zero and any corrupted policy shows a strictly negative margin.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ import numpy as np
 
 from .errors import ConfigError, SchemeError
 from .filtering import full_belief
-from .kernel import StencilBatch, build_stencil_batch, diffusion_bar_sq, stencil
+from .kernel import StencilBatch, build_stencil_batch
 from .lattice import GridSpec, Lattice, build_grid
-from .market import ControlPoint, FloatArray, RegimeModel, validate_model
+from .market import FloatArray, RegimeModel, validate_model
 
 log = logging.getLogger("attnmv")
 
@@ -84,11 +85,6 @@ class ControlGrid:
         pi = np.tile(self.pi_levels, n_u)
         return u, pi
 
-    def control(self, idx: int) -> ControlPoint:
-        n_pi = len(self.pi_levels)
-        return ControlPoint(u=self.u_levels[idx // n_pi].copy(),
-                            pi=float(self.pi_levels[idx % n_pi]))
-
 
 @dataclass
 class SolutionFields:
@@ -109,10 +105,6 @@ class SolutionFields:
     stay_residual: float = 0.0
     clamped_mass: FloatArray = field(default_factory=lambda: np.zeros(0))
 
-    @property
-    def n_steps(self) -> int:
-        return self.spec.n_steps
-
     def time_of(self, n: int) -> float:
         return n * self.spec.h2
 
@@ -121,9 +113,6 @@ class SolutionFields:
 
     def policy_pi(self, n: int) -> FloatArray:
         return self.grid.pi_levels[self.policy[n] % len(self.grid.pi_levels)]
-
-    def control_at(self, n: int, node_idx: int) -> ControlPoint:
-        return self.grid.control(int(self.policy[n, node_idx]))
 
 
 # ---------------------------------------------------------------------------
@@ -161,76 +150,24 @@ def _second_differences(lat: Lattice, values: FloatArray, cmat: FloatArray):
     return d2x, quad
 
 
-def _corrections(model: RegimeModel, lat: Lattice, batch: StencilBatch,
-                 pi_arr: FloatArray, g_next: FloatArray,
-                 cmat: FloatArray) -> FloatArray:
+def _corrections(cache: StencilCache, batch: StencilBatch,
+                 g_next: FloatArray) -> FloatArray:
     """Correction term per control and node, shape (n_c, n_nodes)."""
-    d2x, quad = _second_differences(lat, g_next, cmat)
-    gamma, h2 = model.risk_aversion, lat.spec.h2
+    d2x, quad = _second_differences(cache.lat, g_next, cache.cmat)
+    gamma, h2 = cache.model.risk_aversion, cache.lat.spec.h2
     return -0.5 * gamma * h2 * (batch.ssT * d2x[None, :]
-                                + pi_arr[:, None] * quad[None, :])
+                                + cache.pi_arr[:, None] * quad[None, :])
 
 
-def _candidates(model: RegimeModel, lat: Lattice, batch: StencilBatch,
-                pi_arr: FloatArray, V_next: FloatArray, g_next: FloatArray,
-                cmat: FloatArray) -> FloatArray:
+def _candidates(cache: StencilCache, batch: StencilBatch, V_next: FloatArray,
+                g_next: FloatArray) -> FloatArray:
     """Candidate values (n_c, n_nodes); invalid controls get +inf."""
-    v_nbr = V_next[lat.neighbors]                               # (n, n_out)
+    v_nbr = V_next[cache.lat.neighbors]                         # (n, n_out)
     cand = np.einsum("con,no->cn", batch.probs, v_nbr)
-    cand += _corrections(model, lat, batch, pi_arr, g_next, cmat)
+    cand += _corrections(cache, batch, g_next)
     if not batch.valid.all():
         cand = np.where(batch.valid, cand, np.inf)
     return cand
-
-
-def g_correction(model: RegimeModel, lat: Lattice, t: float, node_idx: int,
-                 c: ControlPoint, g_next: FloatArray) -> float:
-    """Correction term for one node and control."""
-    cmat = _quad_coefficients(model, lat)
-    d2x, quad = _second_differences(lat, np.asarray(g_next, float), cmat)
-    x, phi = lat.node_state(node_idx)
-    ssT = diffusion_bar_sq(model, t, x, phi, c.u)
-    gamma, h2 = model.risk_aversion, lat.spec.h2
-    return float(-0.5 * gamma * h2 * (ssT * d2x[node_idx] + c.pi * quad[node_idx]))
-
-
-def candidate_value(model: RegimeModel, lat: Lattice, t: float, node_idx: int,
-                    c: ControlPoint, V_next: FloatArray,
-                    g_next: FloatArray) -> float:
-    """Stencil average of V_next plus the g correction (scalar path)."""
-    st = stencil(model, lat, t, node_idx, c.u, c.pi)
-    probs = st.probs()
-    val = float(probs @ np.asarray(V_next, float)[lat.neighbors[node_idx]])
-    return val + g_correction(model, lat, t, node_idx, c, g_next)
-
-
-def optimize_node(model: RegimeModel, lat: Lattice, grid: ControlGrid,
-                  t: float, node_idx: int, V_next: FloatArray,
-                  g_next: FloatArray) -> tuple[ControlPoint, float]:
-    """Exhaustive minimization over the control grid at one node.
-
-    Controls whose stencil violates the step-size condition are skipped;
-    if none is feasible a SchemeError is raised.  The first strict
-    improvement wins, which implements the (|u|, pi) tie-break.
-    """
-    u_arr, pi_arr = grid.enumerate()
-    best: tuple[ControlPoint, float] | None = None
-    last_err: SchemeError | None = None
-    for ci in range(len(pi_arr)):
-        c = ControlPoint(u=u_arr[ci], pi=float(pi_arr[ci]))
-        try:
-            val = candidate_value(model, lat, t, node_idx, c, V_next, g_next)
-        except SchemeError as err:
-            last_err = err
-            continue
-        if best is None or val < best[1]:
-            best = (c, val)
-    if best is None:
-        raise SchemeError(
-            f"every control violates the step-size condition at node "
-            f"{node_idx}", node=node_idx,
-            shrink=last_err.shrink if last_err else None)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +175,17 @@ def optimize_node(model: RegimeModel, lat: Lattice, grid: ControlGrid,
 
 
 class StencilCache:
-    """Stencil batches and boundary-mass helpers per coefficient epoch."""
+    """Stencil batches per coefficient epoch, plus the belief loadings.
+
+    ``cmat`` (the ``c_ik`` of the correction term) depends only on the
+    lattice and the signal levels, so it is computed once per cache.
+    """
 
     def __init__(self, model, lat, grid):
         self.model = model
         self.lat = lat
         self.u_arr, self.pi_arr = grid.enumerate()
+        self.cmat = _quad_coefficients(model, lat)
         self.batches: dict[int, StencilBatch] = {}     # by epoch index
 
     def batch(self, t: float) -> StencilBatch:
@@ -261,25 +203,31 @@ def _select(probs: FloatArray, idx: np.ndarray) -> FloatArray:
 
 
 def step_back(model: RegimeModel, fields: SolutionFields, n: int,
-              cache: StencilCache | None = None,
-              cmat: FloatArray | None = None) -> None:
+              cache: StencilCache | None = None) -> None:
     """Populate slice ``n`` of ``fields`` from slice ``n + 1``."""
     lat, grid = fields.lat, fields.grid
     if cache is None:
         cache = StencilCache(model, lat, grid)
-    if cmat is None:
-        cmat = _quad_coefficients(model, lat)
-    t = fields.time_of(n)
-    batch = cache.batch(t)
-    cand = _candidates(model, lat, batch, cache.pi_arr,
-                       fields.V[n + 1], fields.g[n + 1], cmat)
+    batch = cache.batch(fields.time_of(n))
+    cand = _candidates(cache, batch, fields.V[n + 1], fields.g[n + 1])
     idx = np.argmin(cand, axis=0)
     best = cand[idx, np.arange(lat.n_nodes)]
     if not np.all(np.isfinite(best)):
         bad = int(np.argmax(~np.isfinite(best)))
+        stay = batch.probs[:, 0, bad]
+        # a smaller h2 cures a negative self mass (the factor given closes
+        # the mildest one) but never a negative belief weight
+        if not (stay < 0.0).any():
+            raise SchemeError(
+                f"no control has a valid transition law at node {bad} (slice "
+                f"{n}) and none has a negative self mass: belief diffusion "
+                "not diagonally dominant, no time-step reduction can fix this",
+                node=bad)
+        shrink = float(1.0 / (1.0 - stay[stay < 0.0].max()))
         raise SchemeError(
             f"every control violates the step-size condition at node {bad} "
-            f"(slice {n})", node=bad)
+            f"(slice {n}); h2 must shrink by at least a factor {shrink:.6g}",
+            node=bad, shrink=shrink)
     fields.V[n] = best
     fields.policy[n] = idx.astype(np.int32)
     probs_sel = _select(batch.probs, idx)
@@ -308,10 +256,9 @@ def solve(model: RegimeModel, spec: GridSpec, grid: ControlGrid,
     fields.V[N] = lat.x
     fields.g[N] = lat.x
     cache = StencilCache(model, lat, grid)
-    cmat = _quad_coefficients(model, lat)
     report_every = max(1, N // 10)
     for n in range(N - 1, -1, -1):
-        step_back(model, fields, n, cache, cmat)
+        step_back(model, fields, n, cache)
         if progress and n % report_every == 0:
             log.info("slice %d/%d done", N - n, N)
     fields.cfl_max_mass = max(b.max_mass for b in cache.batches.values())
@@ -325,8 +272,7 @@ def solve(model: RegimeModel, spec: GridSpec, grid: ControlGrid,
 
 def spike_margins(model: RegimeModel, fields: SolutionFields, n: int,
                   policy_row: np.ndarray | None = None,
-                  cache: StencilCache | None = None,
-                  cmat: FloatArray | None = None) -> FloatArray:
+                  cache: StencilCache | None = None) -> FloatArray:
     """Per-node one-step deviation margin at slice ``n``.
 
     ``min_c candidate(c) - candidate(stored policy)``; nonnegative up to
@@ -335,20 +281,11 @@ def spike_margins(model: RegimeModel, fields: SolutionFields, n: int,
     lat, grid = fields.lat, fields.grid
     if cache is None:
         cache = StencilCache(model, lat, grid)
-    if cmat is None:
-        cmat = _quad_coefficients(model, lat)
     batch = cache.batch(fields.time_of(n))
-    cand = _candidates(model, lat, batch, cache.pi_arr,
-                       fields.V[n + 1], fields.g[n + 1], cmat)
+    cand = _candidates(cache, batch, fields.V[n + 1], fields.g[n + 1])
     row = fields.policy[n] if policy_row is None else policy_row
     stored = cand[row, np.arange(lat.n_nodes)]
     return cand.min(axis=0) - stored
-
-
-def spike_check(model: RegimeModel, fields: SolutionFields, n: int,
-                node_idx: int) -> float:
-    """Margin of the stored policy at one (slice, node)."""
-    return float(spike_margins(model, fields, n)[node_idx])
 
 
 def g_residuals(model: RegimeModel, fields: SolutionFields, n: int,

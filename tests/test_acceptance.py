@@ -29,8 +29,7 @@ from attnmv.kernel import build_stencil_batch, consistency_sweep
 from attnmv.market import example_model
 from attnmv.oracle import FeedbackPolicy, marginal_check, simulate_chain, \
     simulate_sde
-from attnmv.solver import (StencilCache, _quad_coefficients, g_residuals,
-                           solve, spike_margins)
+from attnmv.solver import StencilCache, g_residuals, solve, spike_margins
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 N_PATHS = 100_000
@@ -116,9 +115,8 @@ def test_criterion_04_spike_property(default_run):
     model, spec, fields = default_run
     lat = fields.lat
     cache = StencilCache(model, lat, fields.grid)
-    cmat = _quad_coefficients(model, lat)
     worst = min(
-        float(spike_margins(model, fields, n, cache=cache, cmat=cmat).min())
+        float(spike_margins(model, fields, n, cache=cache).min())
         for n in range(spec.n_steps))
     # negative control: corrupt one node to the other attention extreme
     node = int(lat.index_of(10, np.array([1])))
@@ -126,7 +124,7 @@ def test_criterion_04_spike_property(default_run):
     n_pi = len(fields.grid.pi_levels)
     row[node] = (row[node] // n_pi) * n_pi if row[node] % n_pi else row[node] + n_pi - 1
     corrupted = float(spike_margins(model, fields, 1000, policy_row=row,
-                                    cache=cache, cmat=cmat)[node])
+                                    cache=cache)[node])
     ok = worst >= -1e-12 and corrupted < 0.0
     report(4, "equilibrium spike property", ok,
            f"min_margin={worst:.2e} corrupted_margin={corrupted:.2e}")

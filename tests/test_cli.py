@@ -42,6 +42,43 @@ def test_load_config_missing_file():
         load_config("/does/not/exist.json")
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("oracle", "seed", 1.5), ("oracle", "n_paths", 2500.7),
+    ("controls", "n_pi", 2.9), ("oracle", "seed", "7"),
+    ("oracle", "n_paths", None), ("controls", "n_pi", True),
+])
+def test_load_config_rejects_non_integers(tmp_path, section, key, value):
+    # a fraction used to be truncated without a word (seed 1.5 ran as 1)
+    path = short_config(tmp_path)
+    cfg = json.loads(path.read_text())
+    cfg.setdefault(section, {})[key] = value
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be an integer"):
+        load_config(path)
+
+
+def test_load_config_accepts_integral_floats(tmp_path):
+    path = short_config(tmp_path)
+    cfg = json.loads(path.read_text())
+    cfg["oracle"].update(seed=7.0, n_paths=2500.0)
+    path.write_text(json.dumps(cfg))
+    loaded = load_config(path)
+    assert (loaded.seed, loaded.n_paths) == (7, 2500)
+    assert type(loaded.seed) is int and type(loaded.n_paths) is int
+
+
+def test_check_rejects_fractional_seed(tmp_path, capsys):
+    cfgp = short_config(tmp_path)
+    cfg = json.loads(cfgp.read_text())
+    cfg["oracle"]["seed"] = 1.5
+    cfgp.write_text(json.dumps(cfg))
+    out = tmp_path / "x"
+    rc = main(["check", "--config", str(cfgp), "--output-dir", str(out)])
+    assert rc == 2
+    assert "oracle.seed must be an integer, got 1.5" in capsys.readouterr().err
+    assert not (out / "check_report.json").exists()
+
+
 def test_parse_ladder():
     assert _parse_ladder("0.4:0.004,0.2:0.001") == [(0.4, 0.004), (0.2, 0.001)]
     with pytest.raises(ConfigError):

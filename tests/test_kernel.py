@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from attnmv.errors import SchemeError
-from attnmv.kernel import (build_stencil_batch, check_local_consistency,
-                           consistency_sweep, diffusion_bar_sq, drift_bar,
-                           moment_deviations, stencil, _coefficients)
+from attnmv.kernel import (build_stencil_batch, consistency_sweep,
+                           _coefficients, _moment_deviations)
 from attnmv.lattice import GridSpec, build_grid
 from attnmv.market import example_model
 from attnmv.solver import ControlGrid
@@ -40,49 +39,78 @@ def scalar_stencil_2regime(mdl, h1, h2, x, phi, u, pi, t=0.0):
             "x+": p2p, "x-": p2m, "phi+": p3p, "phi-": p3m}
 
 
+def one_control(mdl, lat, u, pi, t=0.0):
+    """Raw tables of the single control ``(u, pi)``: row 0 of each output."""
+    probs, bbar, qtil, ssT, a = _coefficients(
+        mdl, lat, t, np.array([u], dtype=float), np.array([pi], dtype=float))
+    return probs[0], bbar[0], qtil, ssT[0], a[0]
+
+
+def law(mdl, lat, node, u, pi, t=0.0):
+    """Validated law of one (node, control): a column of a one-control batch.
+
+    Outcome order: stay, wealth +-h1, belief coordinate i +-h1, then the
+    paired belief moves (three or more regimes).
+    """
+    batch = build_stencil_batch(mdl, lat, t, np.array([u], dtype=float),
+                                np.array([pi], dtype=float))
+    assert batch.valid[0, node]
+    return batch.probs[0, :, node]
+
+
+# wealth 0..10 and beliefs in steps of 0.1: node (x, phi) is index_of(10x, 10phi)
+WIDE = GridSpec(h1=0.1, h2=0.001, x_min=0.0, x_max=10.0, n_steps=2000)
+
+
+def at(lat, x, phi):
+    return int(lat.index_of(round(x / lat.spec.h1),
+                            np.array([round(phi / lat.spec.h1)])))
+
+
 def test_drift_bar_hand_value():
     # regimes/controls chosen so the aggregated drift is -0.488
     mdl = example_model(riskfree=[0.03, 0.05], drift=[[0.08], [0.07]],
                         cost_coeff=0.1)
-    out = drift_bar(mdl, 0.0, 10.0, np.array([0.2]), np.array([2.0]), 1.0)
-    assert out == pytest.approx(-0.488, abs=1e-12)
+    lat = build_grid(WIDE, 2)
+    bbar = one_control(mdl, lat, [2.0], 1.0)[1]
+    assert bbar[at(lat, 10.0, 0.2)] == pytest.approx(-0.488, abs=1e-12)
 
 
 def test_drift_bar_pure_bond_and_zero():
     mdl = example_model(riskfree=0.04, cost_coeff=0.0)
-    out = drift_bar(mdl, 0.0, 5.0, np.array([0.3]), np.array([0.0]), 1.0)
-    assert out == pytest.approx(0.2)
-    assert drift_bar(mdl, 0.0, 0.0, np.array([0.3]), np.array([0.0]), 1.0) == 0.0
+    lat = build_grid(WIDE, 2)
+    bbar = one_control(mdl, lat, [0.0], 1.0)[1]
+    assert bbar[at(lat, 5.0, 0.3)] == pytest.approx(0.2)
+    assert bbar[at(lat, 0.0, 0.3)] == 0.0
 
 
 def test_diffusion_bar_sq_hand_value():
     mdl = example_model(vol=[[[0.2]], [[0.3]]])
-    out = diffusion_bar_sq(mdl, 0.0, 1.0, np.array([0.2]), np.array([2.0]))
-    assert out == pytest.approx(0.3136, abs=1e-14)
-    assert diffusion_bar_sq(mdl, 0.0, 1.0, np.array([0.2]), np.array([0.0])) == 0.0
-    vertex = diffusion_bar_sq(mdl, 0.0, 1.0, np.array([1.0]), np.array([2.0]))
-    assert vertex == pytest.approx(0.16)
+    lat = build_grid(WIDE, 2)
+    ssT = one_control(mdl, lat, [2.0], 1.0)[3]
+    assert ssT[at(lat, 1.0, 0.2)] == pytest.approx(0.3136, abs=1e-14)
+    assert one_control(mdl, lat, [0.0], 1.0)[3][at(lat, 1.0, 0.2)] == 0.0
+    assert ssT[at(lat, 1.0, 1.0)] == pytest.approx(0.16)
 
 
 def test_worked_stencil_values(worked_setup):
     mdl, lat, node = worked_setup
-    st = stencil(mdl, lat, 0.0, node, np.array([2.0]), 1.0)
-    assert st.p_x[0] == pytest.approx(0.001, abs=1e-15)
-    assert st.p_x[1] == pytest.approx(0.0005, abs=1e-15)
-    assert st.p_phi[0, 0] == pytest.approx(0.00732, abs=1e-15)
-    assert st.p_phi[0, 1] == pytest.approx(0.00032, abs=1e-15)
-    assert st.p_stay == pytest.approx(0.99086, abs=1e-12)
-    assert st.mass() == pytest.approx(1.0, abs=1e-14)
-    assert st.p_cross.size == 0 or np.all(st.p_cross == 0)
+    p = law(mdl, lat, node, [2.0], 1.0)
+    assert p[1] == pytest.approx(0.001, abs=1e-15)
+    assert p[2] == pytest.approx(0.0005, abs=1e-15)
+    assert p[3] == pytest.approx(0.00732, abs=1e-15)
+    assert p[4] == pytest.approx(0.00032, abs=1e-15)
+    assert p[0] == pytest.approx(0.99086, abs=1e-12)
+    assert p.sum() == pytest.approx(1.0, abs=1e-14)
+    assert np.all(p[5:] == 0)
 
 
 def test_worked_stencil_one_step_means(worked_setup):
     mdl, lat, node = worked_setup
-    st = stencil(mdl, lat, 0.0, node, np.array([2.0]), 1.0)
+    p = law(mdl, lat, node, [2.0], 1.0)
     h1, h2 = lat.spec.h1, lat.spec.h2
-    assert (st.p_x[0] - st.p_x[1]) * h1 == pytest.approx(0.1 * h2, abs=1e-15)
-    assert (st.p_phi[0, 0] - st.p_phi[0, 1]) * h1 == pytest.approx(1.4 * h2,
-                                                                   abs=1e-15)
+    assert (p[1] - p[2]) * h1 == pytest.approx(0.1 * h2, abs=1e-15)
+    assert (p[3] - p[4]) * h1 == pytest.approx(1.4 * h2, abs=1e-15)
 
 
 def test_matches_scalar_oracle(worked_setup):
@@ -93,14 +121,14 @@ def test_matches_scalar_oracle(worked_setup):
         u = float(rng.uniform(0, 2))
         pi = float(rng.uniform(mdl.attention_min, mdl.attention_max))
         x, phi = lat.node_state(node)
-        st = stencil(mdl, lat, 0.0, node, np.array([u]), pi)
+        p = law(mdl, lat, node, [u], pi)
         ref = scalar_stencil_2regime(mdl, lat.spec.h1, lat.spec.h2,
                                      x, float(phi[0]), u, pi)
-        assert st.p_x[0] == pytest.approx(ref["x+"], rel=1e-12, abs=1e-18)
-        assert st.p_x[1] == pytest.approx(ref["x-"], rel=1e-12, abs=1e-18)
-        assert st.p_phi[0, 0] == pytest.approx(ref["phi+"], rel=1e-12, abs=1e-18)
-        assert st.p_phi[0, 1] == pytest.approx(ref["phi-"], rel=1e-12, abs=1e-18)
-        assert st.p_stay == pytest.approx(ref["stay"], rel=1e-12)
+        assert p[1] == pytest.approx(ref["x+"], rel=1e-12, abs=1e-18)
+        assert p[2] == pytest.approx(ref["x-"], rel=1e-12, abs=1e-18)
+        assert p[3] == pytest.approx(ref["phi+"], rel=1e-12, abs=1e-18)
+        assert p[4] == pytest.approx(ref["phi-"], rel=1e-12, abs=1e-18)
+        assert p[0] == pytest.approx(ref["stay"], rel=1e-12)
 
 
 def test_frozen_dynamics_stay_one():
@@ -109,11 +137,12 @@ def test_frozen_dynamics_stay_one():
                         cost_coeff=0.0)
     spec = GridSpec(h1=0.2, h2=0.001, x_min=0.0, x_max=4.0, n_steps=2000)
     lat = build_grid(spec, 2)
-    st = stencil(mdl, lat, 0.0, 42, np.array([0.0]), 1.0)
-    assert st.p_stay == 1.0
-    assert st.mass() == 1.0
-    rep = check_local_consistency(mdl, lat, 0.0, 42, np.array([0.0]), 1.0)
-    assert rep.mean_dev == 0.0 and rep.second_dev == 0.0
+    p = law(mdl, lat, 42, [0.0], 1.0)
+    assert p[0] == 1.0
+    assert p.sum() == 1.0
+    mean_dev, second_dev = _moment_deviations(mdl, lat, 0.0, np.array([[0.0]]),
+                                              np.array([1.0]))
+    assert mean_dev[0, 42] == 0.0 and second_dev[0, 42] == 0.0
 
 
 def test_mass_exact_for_all_default_controls(default_model, default_lattice,
@@ -133,10 +162,10 @@ def test_monotone_in_volatility(worked_setup):
     bumped = example_model(generator=[[-1.0, 1.0], [2.0, -2.0]], riskfree=0.0,
                            drift=[[0.05], [0.05]], vol=[[[0.15]], [[0.15]]],
                            cost_coeff=0.0)
-    lo = stencil(mdl, lat, 0.0, node, np.array([2.0]), 1.0)
-    hi = stencil(bumped, lat, 0.0, node, np.array([2.0]), 1.0)
-    assert hi.p_x.sum() > lo.p_x.sum()
-    assert hi.p_stay < lo.p_stay
+    lo = law(mdl, lat, node, [2.0], 1.0)
+    hi = law(bumped, lat, node, [2.0], 1.0)
+    assert hi[1] + hi[2] > lo[1] + lo[2]
+    assert hi[0] < lo[0]
 
 
 def test_deterministic_rebuild(default_model, default_lattice, default_controls):
@@ -151,15 +180,17 @@ def test_cfl_error_reports_shrink_factor(worked_setup):
     spec = GridSpec(h1=0.2, h2=0.5, x_min=0.0, x_max=4.0, n_steps=4)
     big = build_grid(spec, 2)
     with pytest.raises(SchemeError) as exc:
-        stencil(mdl, big, 0.0, node, np.array([2.0]), 1.0)
+        build_stencil_batch(mdl, big, 0.0, np.array([[2.0]]), np.array([1.0]),
+                            strict=True)
     err = exc.value
     assert err.shrink is not None and 0 < err.shrink < 1
     # shrinking h2 by the reported factor (rounded down) restores validity
     n_fix = int(np.ceil(4 / err.shrink))
     h2_fix = spec.h2 * err.shrink * (4 / n_fix)
     fixed = GridSpec(h1=0.2, h2=h2_fix * 0.999, x_min=0.0, x_max=4.0, n_steps=4)
-    st = stencil(mdl, build_grid(fixed, 2), 0.0, node, np.array([2.0]), 1.0)
-    assert st.p_stay >= 0.0
+    batch = build_stencil_batch(mdl, build_grid(fixed, 2), 0.0,
+                                np.array([[2.0]]), np.array([1.0]), strict=True)
+    assert batch.probs[0, 0, node] >= 0.0
 
 
 def test_local_consistency_default_sweep(default_model, default_lattice,
@@ -184,15 +215,14 @@ def test_three_regime_uninformative_signal_valid():
     mdl = three_regime_model(signal_levels=[1.0, 1.0, 1.0])
     spec = GridSpec(h1=0.2, h2=0.001, x_min=0.0, x_max=4.0, n_steps=2000)
     lat = build_grid(spec, 3)
-    st = stencil(mdl, lat, 0.0, int(lat.index_of(5, np.array([1, 1]))),
-                 np.array([1.0]), 1.0)
-    assert st.mass() == pytest.approx(1.0, abs=1e-10)
-    assert np.all(st.p_cross == 0.0)
-    rep = check_local_consistency(mdl, lat, 0.0,
-                                  int(lat.index_of(5, np.array([1, 1]))),
-                                  np.array([1.0]), 1.0)
-    assert rep.mean_dev <= 1e-12
-    assert rep.second_scale <= 5.0
+    node = int(lat.index_of(5, np.array([1, 1])))
+    p = law(mdl, lat, node, [1.0], 1.0)
+    assert p.sum() == pytest.approx(1.0, abs=1e-10)
+    assert np.all(p[7:] == 0.0)             # paired belief moves
+    mean_dev, second_dev = _moment_deviations(mdl, lat, 0.0, np.array([[1.0]]),
+                                              np.array([1.0]))
+    assert mean_dev[0, node] <= 1e-12
+    assert second_dev[0, node] / (spec.h1 * spec.h2) <= 5.0
 
 
 def test_three_regime_dominance_failure_raises():
@@ -202,8 +232,10 @@ def test_three_regime_dominance_failure_raises():
     spec = GridSpec(h1=0.2, h2=0.001, x_min=0.0, x_max=4.0, n_steps=2000)
     lat = build_grid(spec, 3)
     node = int(lat.index_of(5, np.array([2, 2])))
+    u, pi = np.array([[0.0]]), np.array([2.0])
+    assert not build_stencil_batch(mdl, lat, 0.0, u, pi).valid[0, node]
     with pytest.raises(SchemeError) as exc:
-        stencil(mdl, lat, 0.0, node, np.array([0.0]), 2.0)
+        build_stencil_batch(mdl, lat, 0.0, u, pi, strict=True)
     assert exc.value.shrink is None
 
 
@@ -236,30 +268,13 @@ def test_three_regime_near_vertex_cross_terms_valid():
     spec = GridSpec(h1=0.1, h2=0.0005, x_min=0.0, x_max=4.0, n_steps=4000)
     lat = build_grid(spec, 3)
     node = int(lat.index_of(5, np.array([9, 1])))   # phi = (0.9, 0.1)
-    st = stencil(mdl, lat, 0.0, node, np.array([0.5]), 0.05)
-    assert st.mass() == pytest.approx(1.0, abs=1e-12)
-    assert st.p_cross.max() > 0.0
-    md, sd = moment_deviations(mdl, lat, 0.0, np.array([0.5]), 0.05)
-    assert md[node] <= 1e-12
-    assert sd[node] <= 5 * spec.h1 * spec.h2
-
-
-def test_stencil_equals_batch_column(default_spec, default_controls):
-    # the single-node stencil is a column of the one builder's batch, float
-    # dust clipping included (three regimes produce such dust)
-    mdl = three_regime_model()
-    lat = build_grid(default_spec, 3)
-    u_arr, pi_arr = default_controls.enumerate()
-    batch = build_stencil_batch(mdl, lat, 0.0, u_arr, pi_arr)
-    assert 0 < batch.valid.sum() < batch.valid.size
-    for ci in (0, 9, 24):
-        for node in range(lat.n_nodes):
-            if not batch.valid[ci, node]:
-                with pytest.raises(SchemeError):
-                    stencil(mdl, lat, 0.0, node, u_arr[ci], pi_arr[ci])
-                continue
-            st = stencil(mdl, lat, 0.0, node, u_arr[ci], pi_arr[ci])
-            assert st.probs().tobytes() == batch.probs[ci, :, node].tobytes()
+    p = law(mdl, lat, node, [0.5], 0.05)
+    assert p.sum() == pytest.approx(1.0, abs=1e-12)
+    assert p[7:].max() > 0.0                # paired belief moves
+    md, sd = _moment_deviations(mdl, lat, 0.0, np.array([[0.5]]),
+                                np.array([0.05]))
+    assert md[0, node] <= 1e-12
+    assert sd[0, node] <= 5 * spec.h1 * spec.h2
 
 
 # Exact pins, recorded before the per-control loops of the stencil batch and

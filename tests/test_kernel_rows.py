@@ -6,8 +6,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from attnmv.kernel import (_moment_deviations, build_stencil_batch,  # noqa: E402
-                           moment_deviations)
+from attnmv.kernel import _moment_deviations, build_stencil_batch  # noqa: E402
 from attnmv.lattice import GridSpec, build_grid  # noqa: E402
 from attnmv.market import example_model  # noqa: E402
 
@@ -52,6 +51,7 @@ def test_batch_row_is_one_control_build(data, m, d, t):
         for name in ("probs", "ssT", "valid"):
             assert getattr(one, name)[0].tobytes() == \
                 getattr(full, name)[ci].tobytes()
-        md, sd = moment_deviations(mdl, lat, t, u_arr[ci], pi_arr[ci])
-        assert md.tobytes() == mean_dev[ci].tobytes()
-        assert sd.tobytes() == second_dev[ci].tobytes()
+        md, sd = _moment_deviations(mdl, lat, t, u_arr[ci:ci + 1],
+                                    pi_arr[ci:ci + 1])
+        assert md[0].tobytes() == mean_dev[ci].tobytes()
+        assert sd[0].tobytes() == second_dev[ci].tobytes()

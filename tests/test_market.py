@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from attnmv.errors import DomainError
-from attnmv.market import (ControlPoint, RegimeModel, example_model, info_cost,
-                           theta, validate_model)
+from attnmv.market import RegimeModel, example_model, validate_model
 
 
 def test_validate_accepts_valid_generator():
@@ -34,25 +33,25 @@ def test_example_model_is_valid():
 
 def test_theta_hand_values():
     mdl = example_model(riskfree=0.03, drift=[[0.08], [0.08]])
-    assert theta(mdl, 0.0, 0) == pytest.approx(np.array([0.05]), abs=1e-15)
+    assert mdl.theta_at(0.0)[0] == pytest.approx(np.array([0.05]), abs=1e-15)
     # zero excess return when drift equals the rate
     mdl2 = example_model(riskfree=0.03, drift=[[0.03], [0.03]])
-    assert theta(mdl2, 0.5, 1) == pytest.approx(np.array([0.0]), abs=1e-15)
+    assert mdl2.theta_at(0.5)[1] == pytest.approx(np.array([0.0]), abs=1e-15)
 
 
 def test_theta_two_assets():
     mdl = example_model(d=2, riskfree=0.05,
                         drift=[[0.08, 0.05], [0.08, 0.05]],
                         vol=[np.eye(2).tolist()] * 2)
-    np.testing.assert_allclose(theta(mdl, 0.0, 0), [0.03, 0.0], atol=1e-15)
+    np.testing.assert_allclose(mdl.theta_at(0.0)[0], [0.03, 0.0], atol=1e-15)
 
 
 def test_theta_rejects_bad_regime_and_time():
     mdl = example_model()
+    with pytest.raises(IndexError):
+        mdl.theta_at(0.0)[5]
     with pytest.raises(DomainError):
-        theta(mdl, 0.0, 5)
-    with pytest.raises(DomainError):
-        theta(mdl, mdl.T + 1.0, 0)
+        mdl.theta_at(mdl.T + 1.0)[0]
 
 
 def test_theta_linear_in_drift():
@@ -60,35 +59,8 @@ def test_theta_linear_in_drift():
     delta = 0.013
     shifted = example_model(drift=[[0.08 + delta], [0.035 + delta]])
     for i in range(2):
-        assert theta(shifted, 0.0, i)[0] == pytest.approx(
-            theta(base, 0.0, i)[0] + delta, abs=1e-15)
-
-
-def test_info_cost_hand_values():
-    mdl = example_model(cost_coeff=0.5)
-    assert info_cost(mdl, 2.0, 10.0) == pytest.approx(20.0, abs=1e-12)
-    assert info_cost(mdl, 1.5, 0.0) == 0.0
-    free = example_model(cost_coeff=0.0)
-    assert info_cost(free, 2.0, 7.0) == 0.0
-
-
-def test_info_cost_signed_wealth():
-    mdl = example_model(cost_coeff=0.5)
-    assert info_cost(mdl, 2.0, -10.0) == pytest.approx(-20.0)
-
-
-def test_info_cost_bounds():
-    mdl = example_model()
-    with pytest.raises(DomainError):
-        info_cost(mdl, 5.0, 1.0)
-
-
-def test_info_cost_increasing_convex():
-    mdl = example_model(cost_coeff=0.2)
-    pis = [0.5, 1.0, 1.5]
-    vals = [info_cost(mdl, p, 3.0) for p in pis]
-    assert vals[0] < vals[1] < vals[2]
-    assert vals[1] <= (vals[0] + vals[2]) / 2 + 1e-15
+        assert shifted.theta_at(0.0)[i, 0] == pytest.approx(
+            base.theta_at(0.0)[i, 0] + delta, abs=1e-15)
 
 
 def test_piecewise_constant_tables():
@@ -112,17 +84,8 @@ def test_roundtrip_dict():
 def test_load_model_from_shipped_config():
     from pathlib import Path
 
-    from attnmv.market import load_model
+    from attnmv.cli import load_config
     path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
-    mdl = load_model(path)
+    mdl = load_config(path).model
     assert validate_model(mdl) == []
     assert mdl.m == 2 and mdl.d == 1
-
-
-def test_control_point_validation():
-    mdl = example_model()
-    ControlPoint(u=[1.0], pi=1.0).validate(mdl)
-    with pytest.raises(DomainError):
-        ControlPoint(u=[-0.5], pi=1.0).validate(mdl)
-    with pytest.raises(DomainError):
-        ControlPoint(u=[0.5], pi=3.0).validate(mdl)

@@ -1,12 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from attnmv.kernel import stencil
+from attnmv.errors import SchemeError
+from attnmv.kernel import _coefficients, build_stencil_batch
 from attnmv.lattice import GridSpec, build_grid
-from attnmv.market import ControlPoint, example_model
-from attnmv.solver import (ControlGrid, candidate_value, g_correction,
-                           g_residuals, optimize_node, ratio_policy, solve,
-                           spike_check, spike_margins, step_back)
+from attnmv.market import example_model
+from attnmv.solver import (ControlGrid, SolutionFields, StencilCache,
+                           _candidates, _corrections, g_residuals,
+                           ratio_policy, solve, spike_margins, step_back)
 
 
 def frozen_model():
@@ -23,6 +26,38 @@ def frozen_grid(model, n_pi=3):
 
 def small_spec(n_steps=10, h2=0.001):
     return GridSpec(h1=0.2, h2=h2, x_min=0.0, x_max=4.0, n_steps=n_steps)
+
+
+def one_control(mdl, lat, u, pi):
+    """Cache and stencil batch of a grid whose row 1 is the control (u, pi).
+
+    A control grid must hold the zero position, so row 0 is (0, pi).
+    """
+    cache = StencilCache(mdl, lat, ControlGrid(u_levels=[[0.0], [u]],
+                                               pi_levels=[pi]))
+    return cache, cache.batch(0.0)
+
+
+def correction(mdl, lat, node, u, pi, g_next):
+    cache, batch = one_control(mdl, lat, u, pi)
+    return float(_corrections(cache, batch, np.asarray(g_next, float))[1, node])
+
+
+def candidate(mdl, lat, node, u, pi, V_next, g_next):
+    cache, batch = one_control(mdl, lat, u, pi)
+    return float(_candidates(cache, batch, np.asarray(V_next, float),
+                             np.asarray(g_next, float))[1, node])
+
+
+def step_from(mdl, lat, grid, V_next, g_next):
+    """One backward step from (V_next, g_next) on the whole lattice."""
+    n = lat.n_nodes
+    fields = SolutionFields(model=mdl, spec=lat.spec, lat=lat, grid=grid,
+                            V=np.stack([np.empty(n), V_next]),
+                            g=np.stack([np.empty(n), g_next]),
+                            policy=np.empty((1, n), dtype=np.int32))
+    step_back(mdl, fields, 0)
+    return fields
 
 
 # -- control grid ------------------------------------------------------------
@@ -48,20 +83,18 @@ def test_control_grid_requires_zero():
 def test_g_correction_affine_vanishes(worked_setup):
     mdl, lat, node = worked_setup
     g_aff = 3.0 + 2.0 * lat.x + 0.7 * lat.phi[:, 0]
-    c = ControlPoint(u=[2.0], pi=1.0)
-    assert g_correction(mdl, lat, 0.0, node, c, g_aff) == pytest.approx(0.0,
-                                                                        abs=1e-12)
+    assert correction(mdl, lat, node, 2.0, 1.0, g_aff) == pytest.approx(
+        0.0, abs=1e-12)
 
 
 def test_g_correction_scales_with_gamma(worked_setup):
     mdl, lat, node = worked_setup
     g_quad = lat.x ** 2
-    c = ControlPoint(u=[2.0], pi=1.0)
-    base = g_correction(mdl, lat, 0.0, node, c, g_quad)
+    base = correction(mdl, lat, node, 2.0, 1.0, g_quad)
     half = example_model(generator=[[-1.0, 1.0], [2.0, -2.0]], riskfree=0.0,
                          drift=[[0.05], [0.05]], vol=[[[0.1]], [[0.1]]],
                          cost_coeff=0.0, risk_aversion=0.25)
-    assert g_correction(half, lat, 0.0, node, c, g_quad) == pytest.approx(
+    assert correction(half, lat, node, 2.0, 1.0, g_quad) == pytest.approx(
         base / 2, rel=1e-12)
 
 
@@ -72,8 +105,7 @@ def test_g_correction_quadratic_exact():
                         risk_aversion=0.5)
     lat = build_grid(small_spec(), 2)
     node = int(lat.index_of(5, np.array([1])))
-    val = g_correction(mdl, lat, 0.0, node, ControlPoint(u=[1.0], pi=1.0),
-                       lat.x ** 2)
+    val = correction(mdl, lat, node, 1.0, 1.0, lat.x ** 2)
     assert val == pytest.approx(-2e-5, rel=1e-12)
 
 
@@ -83,8 +115,7 @@ def test_candidate_constant_field(worked_setup):
     mdl, lat, node = worked_setup
     V = np.full(lat.n_nodes, 7.25)
     g = 1.0 + 0.5 * lat.x
-    c = ControlPoint(u=[2.0], pi=1.0)
-    assert candidate_value(mdl, lat, 0.0, node, c, V, g) == pytest.approx(
+    assert candidate(mdl, lat, node, 2.0, 1.0, V, g) == pytest.approx(
         7.25, abs=1e-12)
 
 
@@ -94,8 +125,7 @@ def test_candidate_frozen_identity():
     node = int(lat.index_of(5, np.array([2])))
     V = np.sin(lat.x) + lat.phi[:, 0]
     g_aff = lat.x.copy()
-    val = candidate_value(mdl, lat, 0.0, node, ControlPoint(u=[0.0], pi=1.0),
-                          V, g_aff)
+    val = candidate(mdl, lat, node, 0.0, 1.0, V, g_aff)
     assert val == pytest.approx(V[node], abs=1e-15)
 
 
@@ -103,8 +133,7 @@ def test_candidate_linear_reproduces_drift(worked_setup):
     mdl, lat, node = worked_setup
     V = lat.x.copy()          # linear in wealth only
     g_lin = lat.x.copy()
-    val = candidate_value(mdl, lat, 0.0, node, ControlPoint(u=[2.0], pi=1.0),
-                          V, g_lin)
+    val = candidate(mdl, lat, node, 2.0, 1.0, V, g_lin)
     x, _ = lat.node_state(node)
     assert val == pytest.approx(x + 0.1 * lat.spec.h2, abs=1e-15)
 
@@ -116,9 +145,10 @@ def test_optimize_singleton_grid(worked_setup):
     cg = ControlGrid(u_levels=np.array([[0.0]]), pi_levels=np.array([1.0]))
     V = lat.x.copy()
     g = lat.x.copy()
-    c, v = optimize_node(mdl, lat, cg, 0.0, node, V, g)
-    assert c.u[0] == 0.0 and c.pi == 1.0
-    assert v == pytest.approx(candidate_value(mdl, lat, 0.0, node, c, V, g))
+    f = step_from(mdl, lat, cg, V, g)
+    assert f.policy_u(0)[node, 0] == 0.0 and f.policy_pi(0)[node] == 1.0
+    assert f.V[0][node] == pytest.approx(candidate(mdl, lat, node, 0.0, 1.0,
+                                                   V, g))
 
 
 def test_optimize_tie_break_frozen():
@@ -128,9 +158,9 @@ def test_optimize_tie_break_frozen():
     node = int(lat.index_of(3, np.array([4])))
     V = lat.x + 0.3 * lat.phi[:, 0]
     g = 2.0 - lat.x
-    c, _ = optimize_node(mdl, lat, cg, 0.0, node, V, g)
-    assert c.u[0] == 0.0
-    assert c.pi == mdl.attention_min
+    f = step_from(mdl, lat, cg, V, g)
+    assert f.policy_u(0)[node, 0] == 0.0
+    assert f.policy_pi(0)[node] == mdl.attention_min
 
 
 def test_optimize_picks_strictly_better_control(default_model):
@@ -142,12 +172,11 @@ def test_optimize_picks_strictly_better_control(default_model):
     node = int(lat.index_of(10, np.array([1])))
     V = lat.x.copy()
     g = lat.x.copy()
-    c, v = optimize_node(default_model, lat, cg, 0.0, node, V, g)
-    assert c.pi == 2.0
-    lo = candidate_value(default_model, lat, 0.0, node,
-                         ControlPoint(u=[0.0], pi=default_model.attention_min),
-                         V, g)
-    assert v < lo
+    f = step_from(default_model, lat, cg, V, g)
+    assert f.policy_pi(0)[node] == 2.0
+    lo = candidate(default_model, lat, node, 0.0, default_model.attention_min,
+                   V, g)
+    assert f.V[0][node] < lo
 
 
 # -- stepping and solving ------------------------------------------------------
@@ -202,11 +231,14 @@ def test_one_step_brute_force_oracle(default_model):
     fields = solve(mdl, spec, cg)
     lat = fields.lat
     u_arr, pi_arr = cg.enumerate()
+    # each control's law from its own one-control build
+    laws = [build_stencil_batch(mdl, lat, 0.0, u_arr[ci:ci + 1],
+                                pi_arr[ci:ci + 1], strict=True).probs[0]
+            for ci in range(len(pi_arr))]
     for node in range(0, lat.n_nodes, 7):
         best_val, best_ci = None, None
         for ci in range(len(pi_arr)):
-            st = stencil(mdl, lat, 0.0, node, u_arr[ci], float(pi_arr[ci]))
-            val = float(st.probs() @ lat.x[lat.neighbors[node]])
+            val = float(laws[ci][:, node] @ lat.x[lat.neighbors[node]])
             # terminal g is linear, the correction vanishes
             if best_val is None or val < best_val:
                 best_val, best_ci = val, ci
@@ -228,23 +260,24 @@ def test_correction_matches_stencil_weight_identity(worked_setup):
     g_vals = np.exp(0.3 * lat.x) + np.sin(2.0 * lat.phi[:, 0]) \
         + rng.normal(scale=0.05, size=lat.n_nodes)
     for u, pi in [(2.0, 1.0), (0.7, 0.4), (0.0, 2.0)]:
-        c = ControlPoint(u=[u], pi=pi)
-        st = stencil(mdl, lat, 0.0, node, c.u, c.pi)
-        from attnmv.kernel import drift_bar
+        cache, batch = one_control(mdl, lat, u, pi)
+        assert batch.valid[1, node]
+        p = batch.probs[1, :, node]         # stay, x+, x-, phi+, phi-
         from attnmv.filtering import filter_drift
-        x, phi = lat.node_state(node)
-        bbar = drift_bar(mdl, 0.0, x, phi, c.u, c.pi)
+        _, phi = lat.node_state(node)
+        bbar = float(_coefficients(mdl, lat, 0.0, np.array([[u]]),
+                                   np.array([pi]))[1][0, node])
         qtil = float(filter_drift(mdl, phi)[0])
         h1, h2 = lat.spec.h1, lat.spec.h2
         gamma = mdl.risk_aversion
         nbr = lat.neighbors[node]
-        wx = (max(bbar, 0.0) * h2 - st.p_x[0] * h1) / h1
-        wphi = (max(qtil, 0.0) * h2 - st.p_phi[0, 0] * h1) / h1
-        wself = 1.0 - st.p_stay - (abs(qtil) + abs(bbar)) * h2 / h1
+        wx = (max(bbar, 0.0) * h2 - p[1] * h1) / h1
+        wphi = (max(qtil, 0.0) * h2 - p[3] * h1) / h1
+        wself = 1.0 - p[0] - (abs(qtil) + abs(bbar)) * h2 / h1
         printed = gamma * (g_vals[node] * wself
                            + (g_vals[nbr[1]] + g_vals[nbr[2]]) * wx
                            + (g_vals[nbr[3]] + g_vals[nbr[4]]) * wphi)
-        direct = g_correction(mdl, lat, 0.0, node, c, g_vals)
+        direct = float(_corrections(cache, batch, g_vals)[1, node])
         assert printed == pytest.approx(direct, rel=1e-10, abs=1e-18)
 
 
@@ -290,18 +323,18 @@ def test_two_step_brute_force_with_active_correction():
                              pi_max=mdl.attention_max, n_pi=2)
     fields = solve(mdl, spec, cg)
     lat = fields.lat
-    u_arr, pi_arr = cg.enumerate()
+    cache = StencilCache(mdl, lat, cg)
+    batch = cache.batch(spec.h2)
+    corr = _corrections(cache, batch, fields.g[1])
+    cand = _candidates(cache, batch, fields.V[1], fields.g[1])
     # nodes adjacent to the upper wealth boundary carry a g kink
     band = np.nonzero(lat.ix >= lat.n_x - 3)[0]
     active = False
     for node in band:
         best = None
-        for ci in range(len(pi_arr)):
-            c = ControlPoint(u=u_arr[ci], pi=float(pi_arr[ci]))
-            corr = g_correction(mdl, lat, spec.h2, node, c, fields.g[1])
-            active = active or corr != 0.0
-            val = candidate_value(mdl, lat, spec.h2, node, c,
-                                  fields.V[1], fields.g[1])
+        for ci in range(cg.n_controls):
+            active = active or corr[ci, node] != 0.0
+            val = float(cand[ci, node])
             if best is None or val < best:
                 best = val
         assert fields.V[0][node] == pytest.approx(best, rel=1e-12, abs=1e-15)
@@ -325,7 +358,7 @@ def test_spike_check_scalar_and_corruption(short_fields):
     mdl, spec, fields = short_fields
     lat = fields.lat
     node = int(lat.index_of(10, np.array([1])))
-    assert spike_check(mdl, fields, 100, node) >= -1e-12
+    assert spike_margins(mdl, fields, 100)[node] >= -1e-12
     # corrupt: force lowest attention where high attention is optimal
     row = fields.policy[100].copy()
     assert row[node] % len(fields.grid.pi_levels) != 0
@@ -391,3 +424,67 @@ def test_ratio_policy(short_fields):
     node = int(lat.index_of(10, np.array([1])))
     u = fields.policy_u(0)[node, 0]
     assert w[node, 0] == pytest.approx(u / 2.0)
+
+
+def three_regime_model(**overrides):
+    cfg = dict(m=3, generator=[[-2.0, 1.0, 1.0], [0.5, -1.0, 0.5],
+                               [1.0, 1.5, -2.5]],
+               riskfree=0.03, drift=[[0.08], [0.05], [0.02]],
+               vol=[[[0.2]], [[0.3]], [[0.4]]],
+               signal_levels=[0.0, 1.0, 2.0], T=0.01)
+    cfg.update(overrides)
+    return example_model(**cfg)
+
+
+def test_masked_controls_solve_pin():
+    # three regimes with informative signals: some (control, node) laws are
+    # invalid and masked with +inf; the SHA-256 of V, g and the policy was
+    # recorded before the scalar candidate path was deleted
+    mdl = three_regime_model()
+    spec = small_spec(n_steps=10)
+    cg = ControlGrid(u_levels=[[0.0], [1.0]], pi_levels=[0.0, 0.5, 2.0])
+    fields = solve(mdl, spec, cg)
+    valid = StencilCache(mdl, fields.lat, cg).batch(0.0).valid
+    assert 0 < valid.sum() < valid.size
+    digest = hashlib.sha256()
+    for a in (fields.V, fields.g, fields.policy):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    assert digest.hexdigest() == ("f8d6450b268986abe46a80d80d05fa42"
+                                  "ae341def5e1e6e9f99ce725dffb3604d")
+    for n in range(spec.n_steps):
+        assert spike_margins(mdl, fields, n).min() >= 0.0
+        assert g_residuals(mdl, fields, n).max() == 0.0
+
+
+def test_no_valid_control_blames_dominance_not_step(default_controls):
+    # every control at node 7 keeps a self mass near 1, so the failure is a
+    # negative belief weight and no smaller h2 can help
+    mdl = three_regime_model()
+    spec = small_spec(n_steps=10)
+    with pytest.raises(SchemeError) as exc:
+        solve(mdl, spec, default_controls)
+    err = exc.value
+    assert (err.node, err.shrink) == (7, None)
+    assert "slice 9" in str(err)
+    assert "no time-step reduction can fix this" in str(err)
+    batch = StencilCache(mdl, build_grid(spec, 3), default_controls).batch(0.0)
+    assert not batch.valid[:, 7].any()
+    assert batch.probs[:, 0, 7].min() >= 0.97
+
+
+def test_no_valid_control_step_too_large(default_controls):
+    # h2/h1^2 = 20: every control's self mass is negative somewhere
+    mdl = example_model(T=0.05)
+    spec = GridSpec(h1=0.05, h2=0.05, x_min=0.0, x_max=4.0, n_steps=1)
+    with pytest.raises(SchemeError) as exc:
+        solve(mdl, spec, default_controls)
+    err = exc.value
+    assert 0.0 < err.shrink < 1.0
+    assert "step-size condition" in str(err)
+    assert f"{err.shrink:.6g}" in str(err)
+    # shrinking h2 by the reported factor gives the node a valid control
+    fixed = GridSpec(h1=0.05, h2=0.05 * err.shrink * 0.999, x_min=0.0,
+                     x_max=4.0, n_steps=1)
+    u_arr, pi_arr = default_controls.enumerate()
+    batch = build_stencil_batch(mdl, build_grid(fixed, 2), 0.0, u_arr, pi_arr)
+    assert batch.valid[:, err.node].any()
