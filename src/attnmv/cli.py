@@ -17,7 +17,7 @@ import logging
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,9 @@ from . import __version__
 from .errors import (EXIT_CONFIG, EXIT_OK, EXIT_PROPERTY, EXIT_SCHEME,
                      ConfigError, DomainError, SchemeError)
 from .kernel import build_stencil_batch, consistency_sweep
-from .lattice import GridSpec
-from .market import CONVENTIONS, RegimeModel, example_model, validate_model
+from .lattice import GridSpec, build_grid
+from .market import (CONVENTIONS, RegimeModel, as_int, example_model,
+                     validate_model)
 from .oracle import marginal_check, simulate_chain
 from .solver import (ControlGrid, SolutionFields, StencilCache, g_residuals,
                      ratio_policy, solve, spike_margins)
@@ -38,6 +39,11 @@ DEFAULT_GRID = {"h1": 0.2, "h2": 0.001, "x_min": 0.0, "x_max": 4.0}
 DEFAULT_CONTROLS = {"u_max": 2.0, "du": 0.5, "n_pi": 5}
 DEFAULT_ORACLE = {"n_paths": 100_000, "seed": 20240901}
 DEFAULT_EVAL = {"t": 1.0, "x": 2.0, "phi": [0.2]}
+# defaults of the top-level keys
+DEFAULT_RUN = {"sweep_k": [0.1, 0.3, 0.5],
+               "ladder": [[0.4, 0.004], [0.2, 0.001], [0.1, 0.00025]],
+               "convention": None, "slice_times": [0.0, 1.0],
+               "refine_tol": 1e-2, "output_dir": "out"}
 
 
 @dataclass
@@ -57,18 +63,17 @@ class RunConfig:
     eval_t: float
     eval_x: float
     eval_phi: list[float]
+    sweep_k: list[float]
+    ladder: list[tuple[float, float]]
+    convention: str | None
+    slice_times: list[float]
+    refine_tol: float
+    output_dir: Path
     # separate evaluation point for refinement ladders whose coarse rungs
     # need not contain the main evaluation point
     refine_t: float | None = None
     refine_x: float | None = None
     refine_phi: list[float] | None = None
-    sweep_k: list[float] = field(default_factory=lambda: [0.1, 0.3, 0.5])
-    ladder: list[tuple[float, float]] = field(
-        default_factory=lambda: [(0.4, 0.004), (0.2, 0.001), (0.1, 0.00025)])
-    convention: str | None = None
-    slice_times: list[float] = field(default_factory=lambda: [0.0, 1.0])
-    refine_tol: float = 1e-2
-    output_dir: Path = Path("out")
     debug_stencils: bool = False
     policy_override: Path | None = None
     dump_terminal: bool = False
@@ -144,15 +149,6 @@ def _slice_of(spec: GridSpec, t: float, what: str) -> int:
     return int(n)
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int; a fraction or a non-number is a ConfigError."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
 def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v]
 
@@ -172,18 +168,20 @@ def _parse_ladder(text: str) -> list[tuple[float, float]]:
     return rungs
 
 
-# (command-line flag, RunConfig field, converter); a flag left unset keeps
-# the configured value
+# (command-line flag, RunConfig field, argparse options, converter); a flag
+# left unset keeps the configured value
 _FLAGS = (
-    ("h1", "h1", float), ("h2", "h2", float),
-    ("seed", "seed", lambda v: _integer(v, "seed")),
-    ("paths", "n_paths", lambda v: _integer(v, "paths")),
-    ("output_dir", "output_dir", Path), ("convention", "convention", str),
-    ("sweep_k", "sweep_k", _floats), ("ladder", "ladder", _parse_ladder),
-    ("slice_times", "slice_times", _floats),
-    ("debug_stencils", "debug_stencils", bool),
-    ("policy_override", "policy_override", Path),
-    ("dump_terminal", "dump_terminal", bool),
+    ("output_dir", "output_dir", {"type": str}, Path),
+    ("seed", "seed", {"type": int}, lambda v: as_int(v, "seed")),
+    ("h1", "h1", {"type": float}, float), ("h2", "h2", {"type": float}, float),
+    ("paths", "n_paths", {"type": int}, lambda v: as_int(v, "paths")),
+    ("convention", "convention", {"choices": CONVENTIONS}, str),
+    ("slice_times", "slice_times", {"type": str}, _floats),
+    ("sweep_k", "sweep_k", {"type": str}, _floats),
+    ("ladder", "ladder", {"type": str}, _parse_ladder),
+    ("debug_stencils", "debug_stencils", {"action": "store_true"}, bool),
+    ("policy_override", "policy_override", {"type": str}, Path),
+    ("dump_terminal", "dump_terminal", {"action": "store_true"}, bool),
 )
 
 
@@ -207,6 +205,7 @@ def load_config(path: str | Path | None, overrides: argparse.Namespace | None = 
     controls = {**DEFAULT_CONTROLS, **raw.get("controls", {})}
     oracle = {**DEFAULT_ORACLE, **raw.get("oracle", {})}
     ev = {**DEFAULT_EVAL, **raw.get("eval", {})}
+    top = {**DEFAULT_RUN, **raw}
     grid.pop("n_steps", None)   # derived from T and h2
 
     cfg = RunConfig(
@@ -214,18 +213,17 @@ def load_config(path: str | Path | None, overrides: argparse.Namespace | None = 
         h1=float(grid["h1"]), h2=float(grid["h2"]),
         x_min=float(grid["x_min"]), x_max=float(grid["x_max"]),
         u_max=float(controls["u_max"]), du=float(controls["du"]),
-        n_pi=_integer(controls["n_pi"], "controls.n_pi"),
-        n_paths=_integer(oracle["n_paths"], "oracle.n_paths"),
-        seed=_integer(oracle["seed"], "oracle.seed"),
+        n_pi=as_int(controls["n_pi"], "controls.n_pi"),
+        n_paths=as_int(oracle["n_paths"], "oracle.n_paths"),
+        seed=as_int(oracle["seed"], "oracle.seed"),
         eval_t=float(ev["t"]), eval_x=float(ev["x"]),
         eval_phi=[float(v) for v in ev["phi"]],
-        sweep_k=[float(k) for k in raw.get("sweep_k", [0.1, 0.3, 0.5])],
-        ladder=[tuple(map(float, r)) for r in
-                raw.get("ladder", [[0.4, 0.004], [0.2, 0.001], [0.1, 0.00025]])],
-        convention=raw.get("convention"),
-        slice_times=[float(t) for t in raw.get("slice_times", [0.0, 1.0])],
-        refine_tol=float(raw.get("refine_tol", 1e-2)),
-        output_dir=Path(raw.get("output_dir", "out")),
+        sweep_k=[float(k) for k in top["sweep_k"]],
+        ladder=[tuple(map(float, r)) for r in top["ladder"]],
+        convention=top["convention"],
+        slice_times=[float(t) for t in top["slice_times"]],
+        refine_tol=float(top["refine_tol"]),
+        output_dir=Path(top["output_dir"]),
     )
     rev = raw.get("refine_eval")
     if rev:
@@ -234,7 +232,7 @@ def load_config(path: str | Path | None, overrides: argparse.Namespace | None = 
         cfg.refine_phi = (None if rev.get("phi") is None
                           else [float(v) for v in rev["phi"]])
 
-    for flag, name, convert in _FLAGS:
+    for flag, name, _, convert in _FLAGS:
         value = getattr(overrides, flag, None)
         if value is not None and value is not False:
             setattr(cfg, name, convert(value))
@@ -266,18 +264,6 @@ def write_json(path: Path, obj) -> None:
     with open(path, "w", newline="\n") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-class _Timer:
-    def __init__(self, outdir: Path):
-        self.outdir = outdir
-        self.start = time.perf_counter()
-
-    def finish(self, label: str) -> None:
-        elapsed = time.perf_counter() - self.start
-        log.info("%s finished in %.2f s", label, elapsed)
-        with open(self.outdir / "timing.txt", "w") as fh:
-            fh.write(f"{label} wall time: {elapsed:.3f} s\n")
 
 
 def _slice_table(fields: SolutionFields, n: int):
@@ -325,8 +311,6 @@ def _dump_stencils(cfg: RunConfig, fields: SolutionFields, outdir: Path) -> None
 
 def cmd_solve(cfg: RunConfig) -> int:
     outdir = cfg.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
-    timer = _Timer(outdir)
     model = cfg.effective_model()
     spec = cfg.grid_spec()
     grid = cfg.control_grid()
@@ -362,7 +346,6 @@ def cmd_solve(cfg: RunConfig) -> int:
         "artifacts": artifacts,
     }
     write_json(outdir / "manifest.json", manifest)
-    timer.finish("solve")
     return EXIT_OK
 
 
@@ -370,35 +353,25 @@ def cmd_sweep_k(cfg: RunConfig) -> int:
     if not cfg.sweep_k:
         raise ConfigError("sweep_k list is empty")
     outdir = cfg.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
-    timer = _Timer(outdir)
     spec = cfg.grid_spec()
     grid = cfg.control_grid()
+    n_eval = cfg.eval_slice(spec)
 
-    x_col = None
     v_cols, w_cols, pi_cols, surf_cols = [], [], [], []
-    surf_coords = None
     for k in cfg.sweep_k:
         model = cfg.effective_model().with_cost(k)
         fields = solve(model, spec, grid)
         lat = fields.lat
-        n_eval = cfg.eval_slice(spec)
-        iphi = np.asarray([round(p / spec.h1) for p in cfg.eval_phi])
-        row = int(lat.phi_row_of(iphi))
-        if row < 0:
-            raise ConfigError("evaluation phi outside the simplex grid")
+        row = cfg.eval_node(lat) % lat.n_phi
         sel = np.arange(lat.n_x) * lat.n_phi + row     # fixed phi, all x
-        if x_col is None:
-            x_col = lat.x[sel]
         v_cols.append(fields.V[n_eval][sel])
         w, _ = ratio_policy(fields, n_eval)
         w_cols.append(w[sel, 0] if model.d == 1 else
                       np.linalg.norm(w[sel], axis=1))
         pi_cols.append(fields.policy_pi(n_eval)[sel])
-        if surf_coords is None:
-            surf_coords = (lat.x, lat.phi)
         surf_cols.append(fields.V[n_eval])
 
+    x_col = lat.x[sel]          # every k solves on the same lattice
     tags = [f"k{_fmt(k)}" for k in cfg.sweep_k]
     write_csv(outdir / "fig1_value.csv", ["x"] + [f"V_{t}" for t in tags],
               [x_col] + v_cols)
@@ -410,13 +383,11 @@ def cmd_sweep_k(cfg: RunConfig) -> int:
     surf_header = ["x"] + [f"phi{i + 1}" for i in range(mm)] + \
                   [f"V_{t}" for t in tags]
     write_csv(outdir / "fig4_surface.csv", surf_header,
-              [surf_coords[0]] + [surf_coords[1][:, i] for i in range(mm)]
-              + surf_cols)
+              [lat.x] + [lat.phi[:, i] for i in range(mm)] + surf_cols)
     manifest = {"config": cfg.to_dict(),
                 "artifacts": ["fig1_value.csv", "fig2_ratio.csv",
                               "fig3_attention.csv", "fig4_surface.csv"]}
     write_json(outdir / "sweep_manifest.json", manifest)
-    timer.finish("sweep-k")
     return EXIT_OK
 
 
@@ -429,26 +400,25 @@ def _load_policy_override(fields: SolutionFields, path: Path) -> None:
 
 def cmd_check(cfg: RunConfig) -> int:
     outdir = cfg.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
-    timer = _Timer(outdir)
     model = cfg.effective_model()
     spec = cfg.grid_spec()
     grid = cfg.control_grid()
-    u_arr, pi_arr = grid.enumerate()
     report: dict[str, dict] = {}
 
     def record(name, passed, **metrics):
         report[name] = {"pass": bool(passed), **metrics}
         log.info("check %-20s %s", name, "PASS" if passed else "FAIL")
 
-    fields = solve(model, spec, grid)
-    lat = fields.lat
+    # a wrong horizon is a configuration error even where its step size
+    # would also fail the strict build below
+    spec.check_horizon(model.T)
+    cache = StencilCache(model, build_grid(spec, model.m), grid)
+    lat, u_arr, pi_arr = cache.lat, cache.u_arr, cache.pi_arr
 
-    # one stencil batch and moment sweep per coefficient epoch; a batch that
-    # passes the strict build equals the masked one, so the later checks and
-    # the chain oracle take it from this cache
-    cache = StencilCache(model, lat, grid)
-    mass_err, max_mass, all_valid = 0.0, 0.0, True
+    # one strict stencil batch and moment sweep per coefficient epoch; a
+    # batch that passes the strict build equals the masked one, so the
+    # solve, the later checks and the chain oracle all take it from here
+    mass_err, max_mass = 0.0, 0.0
     worst_mean, worst_second = 0.0, 0.0
     for e, t_epoch in enumerate(model.time_breaks):
         batch = build_stencil_batch(model, lat, float(t_epoch), u_arr, pi_arr,
@@ -457,17 +427,17 @@ def cmd_check(cfg: RunConfig) -> int:
         mass_err = max(mass_err,
                        float(np.abs(batch.probs.sum(axis=1) - 1.0).max()))
         max_mass = max(max_mass, batch.max_mass)
-        all_valid = all_valid and bool(batch.valid.all())
         cons = consistency_sweep(model, lat, float(t_epoch), u_arr, pi_arr)
         worst_mean = max(worst_mean, cons.mean_dev)
         worst_second = max(worst_second, cons.second_dev)
-    record("stencil_validity", all_valid and mass_err <= 1e-10,
+    record("stencil_validity", mass_err <= 1e-10,
            mass_error=mass_err, max_nonstay_mass=max_mass)
     record("local_consistency",
            worst_mean <= 1e-12 and worst_second <= 5.0 * spec.h1 * spec.h2,
            mean_dev=worst_mean, second_dev=worst_second,
            second_dev_over_h1h2=worst_second / (spec.h1 * spec.h2))
 
+    fields = solve(model, spec, grid, cache=cache)
     if cfg.policy_override is not None:
         _load_policy_override(fields, cfg.policy_override)
 
@@ -501,7 +471,6 @@ def cmd_check(cfg: RunConfig) -> int:
 
     write_json(outdir / "check_report.json",
                {"config": cfg.to_dict(), "properties": report})
-    timer.finish("check")
     failures = [k for k, v in report.items() if not v["pass"]]
     if failures:
         print("failed properties: " + ", ".join(failures), file=sys.stderr)
@@ -513,8 +482,6 @@ def cmd_refine(cfg: RunConfig) -> int:
     if not cfg.ladder:
         raise ConfigError("refinement ladder is empty")
     outdir = cfg.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
-    timer = _Timer(outdir)
     model = cfg.effective_model()
     grid = cfg.control_grid()
 
@@ -544,7 +511,6 @@ def cmd_refine(cfg: RunConfig) -> int:
                 "values": values, "diffs": diffs,
                 "boundary_hits": bhits,
                 "cauchy": cauchy, "tolerance": cfg.refine_tol})
-    timer.finish("refine")
     return EXIT_OK
 
 
@@ -563,34 +529,32 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.set_defaults(func=fn)
         sp.add_argument("--config", type=str, default=None)
-        sp.add_argument("--output-dir", type=str, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--h1", type=float, default=None)
-        sp.add_argument("--h2", type=float, default=None)
-        sp.add_argument("--paths", type=int, default=None)
-        sp.add_argument("--convention", choices=list(CONVENTIONS), default=None)
-        sp.add_argument("--slice-times", type=str, default=None)
-        sp.add_argument("--sweep-k", type=str, default=None)
-        sp.add_argument("--ladder", type=str, default=None)
-        sp.add_argument("--debug-stencils", action="store_true")
-        sp.add_argument("--policy-override", type=str, default=None)
-        sp.add_argument("--dump-terminal", action="store_true")
+        for flag, _, options, _ in _FLAGS:
+            sp.add_argument("--" + flag.replace("_", "-"), **options)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; its wall time goes to stderr and ``timing.txt``."""
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args)
-        return args.func(cfg)
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        start = time.perf_counter()
+        code = args.func(cfg)
     except (ConfigError, DomainError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except SchemeError as err:
         print(f"scheme error: {err}", file=sys.stderr)
         return EXIT_SCHEME
+    elapsed = time.perf_counter() - start
+    log.info("%s finished in %.2f s", args.command, elapsed)
+    with open(cfg.output_dir / "timing.txt", "w") as fh:
+        fh.write(f"{args.command} wall time: {elapsed:.3f} s\n")
+    return code
 
 
 if __name__ == "__main__":

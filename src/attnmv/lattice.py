@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .market import FloatArray
 
 _REL = 1e-9
@@ -192,12 +192,6 @@ class Lattice:
         return nbr, clamped
 
     # -- states ------------------------------------------------------------
-
-    def node_state(self, node_idx: int) -> tuple[float, FloatArray]:
-        """(wealth, belief) of a node."""
-        if not 0 <= node_idx < self.n_nodes:
-            raise DomainError(f"node {node_idx} outside 0..{self.n_nodes - 1}")
-        return float(self.x[node_idx]), self.phi[node_idx].copy()
 
     def nearest_node(self, x, phi) -> np.ndarray:
         """Nearest-node lookup for off-grid states (vectorized).

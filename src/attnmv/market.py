@@ -25,6 +25,15 @@ FloatArray = NDArray[np.float64]
 CONVENTIONS = ("paper-literal", "mean-minus-variance")
 
 
+def as_int(value, name: str) -> int:
+    """``value`` as an int; a fraction or a non-number is a ConfigError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RegimeModel:
     """All market, signal and cost parameters.
@@ -84,8 +93,8 @@ class RegimeModel:
         ``{"times": [...], "values": [...]}`` of piecewise-constant rows.
         Tables with different breakpoints are merged onto their union.
         """
-        m = int(cfg["m"])
-        d = int(cfg["d"])
+        m = as_int(cfg["m"], "model.m")
+        d = as_int(cfg["d"], "model.d")
 
         def parse(name, tail):
             v = cfg[name]
@@ -169,10 +178,6 @@ class RegimeModel:
     def riskfree_at(self, t: float) -> FloatArray:
         """(m,) bond rate per regime at time ``t``."""
         return self.riskfree[self.epoch_of(t)]
-
-    def drift_at(self, t: float) -> FloatArray:
-        """(m, d) risky drift per regime at time ``t``."""
-        return self.drift[self.epoch_of(t)]
 
     def vol_at(self, t: float) -> FloatArray:
         """(m, d, d) volatility matrix per regime at time ``t``."""

@@ -63,9 +63,12 @@ def compose_objective(mean: float, var: float, gamma: float, convention: str) ->
     raise DomainError(f"unknown objective convention {convention!r}")
 
 
-def summarize(samples: FloatArray, model: RegimeModel, boundary_hits: float,
-              convention: str | None = None) -> McSummary:
-    """Population-moment summary of terminal wealth samples."""
+def summarize(samples: FloatArray, model: RegimeModel,
+              boundary_hits: float) -> McSummary:
+    """Population-moment summary of terminal wealth samples.
+
+    The objective follows ``model.objective_convention``.
+    """
     n = len(samples)
     if n < 2:
         raise DomainError("need at least 2 paths")
@@ -75,10 +78,10 @@ def summarize(samples: FloatArray, model: RegimeModel, boundary_hits: float,
     m4 = float((centered ** 4).mean())
     se_mean = float(np.sqrt(var / n))
     se_var = float(np.sqrt(max(m4 - var * var, 0.0) / n))
-    conv = convention or model.objective_convention
     return McSummary(
         n_paths=n, mean_XT=mean, var_XT=var,
-        objective=compose_objective(mean, var, model.risk_aversion, conv),
+        objective=compose_objective(mean, var, model.risk_aversion,
+                                    model.objective_convention),
         se_mean=se_mean, se_var=se_var, boundary_hits=float(boundary_hits))
 
 
@@ -88,21 +91,6 @@ def write_terminal_csv(path, samples: FloatArray) -> None:
         fh.write("x_T\n")
         for v in samples:
             fh.write(repr(float(v)) + "\n")
-
-
-def _batches(n_paths: int, batch_size: int,
-             seed: int) -> list[tuple[int, int]]:
-    """``(first, count)`` per batch; called before any path is simulated."""
-    if n_paths < 2 or batch_size < 1:
-        raise DomainError("need n_paths >= 2 and batch_size >= 1, got "
-                          f"{n_paths} and {batch_size}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    if n_paths > 1 << 64:
-        raise DomainError(f"path indices must stay below 2**64, got {n_paths} "
-                          "paths")
-    return [(first, min(batch_size, n_paths - first))
-            for first in range(0, n_paths, batch_size)]
 
 
 # numpy's SeedSequence hash constants and the PCG64 LCG multiplier
@@ -192,6 +180,28 @@ def _path_streams(seed: int, first: int, count: int, shape: tuple,
     return out
 
 
+def _walk_paths(walk, n_paths: int, seed: int, batch_size: int, shape: tuple,
+                draw: str) -> list:
+    """``walk(streams)`` per batch of paths, in path order.
+
+    Checks the arguments before any path is drawn.  A batch holds at most
+    ``batch_size`` paths and, above 256 paths, at most ~20 M stream
+    entries (~150 MB); ``streams`` is its ``_path_streams`` rows.
+    """
+    if n_paths < 2 or batch_size < 1:
+        raise DomainError("need n_paths >= 2 and batch_size >= 1, got "
+                          f"{n_paths} and {batch_size}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    if n_paths > 1 << 64:
+        raise DomainError(f"path indices must stay below 2**64, got {n_paths} "
+                          "paths")
+    size = min(batch_size, max(256, 20_000_000 // max(1, math.prod(shape))))
+    return [walk(_path_streams(seed, first, min(size, n_paths - first),
+                               shape, draw))
+            for first in range(0, n_paths, size)]
+
+
 class FeedbackPolicy:
     """Nearest-node lookup of the stored feedback law (no interpolation)."""
 
@@ -221,8 +231,7 @@ class ConstantPolicy:
 def simulate_sde(model: RegimeModel, policy, t0: float, x0: float,
                  phi0: FloatArray, n_paths: int, seed: int, *,
                  h2: float, x_bounds: tuple[float, float],
-                 convention: str | None = None, batch_size: int = 4096,
-                 terminal_csv=None) -> McSummary:
+                 batch_size: int = 4096) -> McSummary:
     """Euler-Maruyama simulation of the filtered wealth-belief system.
 
     Wealth moves with the belief-averaged drift and volatility row, the
@@ -236,18 +245,13 @@ def simulate_sde(model: RegimeModel, policy, t0: float, x0: float,
     d = model.d
     sqrt_h2 = np.sqrt(h2)
     lo, hi = x_bounds
-    # keep per-batch increment storage near 150 MB
-    batches = _batches(n_paths, min(
-        batch_size, max(256, int(20_000_000 // max(1, n_steps * (d + 1))))),
-        seed)
     times = [t0 + j * h2 for j in range(n_steps)]
     epochs = [model.epoch_of(t) for t in times]
     coeffs = {e: (model.riskfree_at(t), model.theta_at(t).T, model.vol_at(t))
               for e, t in dict(zip(epochs, times)).items()}
 
-    def walk(first: int, count: int):
-        dw = _path_streams(seed, first, count, (n_steps, d + 1),
-                           "standard_normal")
+    def walk(dw):
+        count = len(dw)
         x = np.full(count, float(x0))
         phi = np.tile(np.asarray(phi0, dtype=np.float64), (count, 1))
         out = np.zeros(count, dtype=bool)
@@ -265,17 +269,14 @@ def simulate_sde(model: RegimeModel, policy, t0: float, x0: float,
             out |= (x < lo) | (x > hi)
         return x, int(out.sum())
 
-    parts = [walk(first, count) for first, count in batches]
+    parts = _walk_paths(walk, n_paths, seed, batch_size, (n_steps, d + 1),
+                        "standard_normal")
     terminal = np.concatenate([x for x, _ in parts])
-    if terminal_csv is not None:
-        write_terminal_csv(terminal_csv, terminal)
-    return summarize(terminal, model, sum(n for _, n in parts) / n_paths,
-                     convention)
+    return summarize(terminal, model, sum(n for _, n in parts) / n_paths)
 
 
 def simulate_chain(model: RegimeModel, fields: SolutionFields, start_node: int,
-                   n_paths: int, seed: int, *,
-                   convention: str | None = None, batch_size: int = 8192,
+                   n_paths: int, seed: int, *, batch_size: int = 8192,
                    terminal_csv=None,
                    cache: StencilCache | None = None) -> McSummary:
     """Simulate the approximating chain under the stored feedback policy.
@@ -287,9 +288,6 @@ def simulate_chain(model: RegimeModel, fields: SolutionFields, start_node: int,
     """
     lat = fields.lat
     N = fields.spec.n_steps
-    batches = _batches(n_paths,
-                       min(batch_size, max(256, int(20_000_000 // max(1, N)))),
-                       seed)
     if cache is None:
         cache = StencilCache(model, lat, fields.grid)
 
@@ -306,9 +304,8 @@ def simulate_chain(model: RegimeModel, fields: SolutionFields, start_node: int,
                   if precompute else None)
     on_x_boundary = (lat.ix == 0) | (lat.ix == lat.n_x - 1)
 
-    def walk(first: int, count: int):
-        uni = _path_streams(seed, first, count, (N,), "random")
-        nodes = np.full(count, int(start_node), dtype=np.int64)
+    def walk(uni):
+        nodes = np.full(len(uni), int(start_node), dtype=np.int64)
         hit = on_x_boundary[nodes]
         for n in range(N):
             u = np.ascontiguousarray(uni[:, n])
@@ -319,12 +316,11 @@ def simulate_chain(model: RegimeModel, fields: SolutionFields, start_node: int,
             hit |= on_x_boundary[nodes]
         return lat.x[nodes], int(hit.sum())
 
-    parts = [walk(first, count) for first, count in batches]
+    parts = _walk_paths(walk, n_paths, seed, batch_size, (N,), "random")
     terminal = np.concatenate([x for x, _ in parts])
     if terminal_csv is not None:
         write_terminal_csv(terminal_csv, terminal)
-    return summarize(terminal, model, sum(n for _, n in parts) / n_paths,
-                     convention)
+    return summarize(terminal, model, sum(n for _, n in parts) / n_paths)
 
 
 @dataclass
@@ -352,18 +348,16 @@ def marginal_check(model: RegimeModel, phi0: FloatArray, pi: float, t: float,
     n_steps = int(round(t / h2))
     if n_steps < 1 or abs(n_steps * h2 - t) > 1e-9 * max(1.0, t):
         raise DomainError(f"t {t} is not a multiple of the step {h2}")
-    batches = _batches(n_paths, min(
-        batch_size, max(256, int(20_000_000 // max(1, n_steps)))), seed)
     sqrt_h2 = np.sqrt(h2)
 
-    def walk(first: int, count: int):
-        dw = _path_streams(seed, first, count, (n_steps,), "standard_normal")
-        phi = np.tile(np.asarray(phi0, dtype=np.float64), (count, 1))
+    def walk(dw):
+        phi = np.tile(np.asarray(phi0, dtype=np.float64), (len(dw), 1))
         for j in range(n_steps):
             phi = filter_step(model, phi, pi, dw[:, j] * sqrt_h2, h2)
         return full_belief(phi, m=model.m, validate=False)
 
-    full = np.concatenate([walk(first, count) for first, count in batches])
+    full = np.concatenate(_walk_paths(walk, n_paths, seed, batch_size,
+                                      (n_steps,), "standard_normal"))
     mean = full.sum(axis=0) / n_paths
     ssq = (full ** 2).sum(axis=0)
     var = np.maximum(ssq / n_paths - mean ** 2, 0.0)

@@ -184,6 +184,7 @@ class StencilCache:
     def __init__(self, model, lat, grid):
         self.model = model
         self.lat = lat
+        self.grid = grid
         self.u_arr, self.pi_arr = grid.enumerate()
         self.cmat = _quad_coefficients(model, lat)
         self.batches: dict[int, StencilBatch] = {}     # by epoch index
@@ -238,13 +239,24 @@ def step_back(model: RegimeModel, fields: SolutionFields, n: int,
 
 
 def solve(model: RegimeModel, spec: GridSpec, grid: ControlGrid,
-          *, progress: bool = False) -> SolutionFields:
-    """Run the full backward sweep from the terminal slice to time zero."""
+          *, progress: bool = False,
+          cache: StencilCache | None = None) -> SolutionFields:
+    """Run the full backward sweep from the terminal slice to time zero.
+
+    A ``cache`` built from this ``model``, ``grid`` and a lattice on
+    ``spec`` lends its lattice and any batches it already holds.
+    """
     bad = validate_model(model)
     if bad:
         raise ConfigError("invalid model: " + "; ".join(bad))
     spec.check_horizon(model.T)
-    lat = build_grid(spec, model.m)
+    if cache is None:
+        cache = StencilCache(model, build_grid(spec, model.m), grid)
+    elif cache.model is not model or cache.grid is not grid \
+            or cache.lat.spec != spec:
+        raise ConfigError("stencil cache built for another model, control "
+                          "grid or grid spec")
+    lat = cache.lat
     N = spec.n_steps
     fields = SolutionFields(
         model=model, spec=spec, lat=lat, grid=grid,
@@ -255,7 +267,6 @@ def solve(model: RegimeModel, spec: GridSpec, grid: ControlGrid,
     )
     fields.V[N] = lat.x
     fields.g[N] = lat.x
-    cache = StencilCache(model, lat, grid)
     report_every = max(1, N // 10)
     for n in range(N - 1, -1, -1):
         step_back(model, fields, n, cache)

@@ -169,6 +169,38 @@ def test_sweep_k_artifacts(tmp_path):
     assert len(surf) == 126
 
 
+@pytest.mark.parametrize("point, message", [
+    ({"phi": [0.3]}, "evaluation phi=[0.3] not on the grid"),
+    ({"x": 2.1}, "evaluation x=2.1 not on the grid"),
+])
+def test_sweep_k_rejects_off_grid_eval(tmp_path, capsys, point, message):
+    # the curves used to be written at the nearest grid point without a word
+    cfgp = short_config(tmp_path)
+    cfg = json.loads(cfgp.read_text())
+    cfg["eval"].update(point)
+    cfgp.write_text(json.dumps(cfg))
+    out = tmp_path / "s"
+    rc = main(["sweep-k", "--config", str(cfgp), "--output-dir", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("fig*.csv"))
+
+
+def test_every_subcommand_writes_timing(tmp_path):
+    cfgp = short_config(tmp_path)
+    override = tmp_path / "corrupt.json"
+    override.write_text(json.dumps({"overrides": [[10, 66, 0]]}))
+    runs = [("solve", [], 0), ("sweep-k", [], 0), ("check", [], 0),
+            ("refine", [], 0),
+            ("check", ["--policy-override", str(override)], 4)]
+    for i, (command, flags, code) in enumerate(runs):
+        out = tmp_path / f"run{i}"
+        assert main([command, "--config", str(cfgp), "--output-dir", str(out),
+                     *flags]) == code
+        assert (out / "timing.txt").read_text().startswith(
+            f"{command} wall time: ")
+
+
 def test_sweep_k_empty_list_rejected(tmp_path):
     cfgp = short_config(tmp_path, sweep_k=[])
     rc = main(["sweep-k", "--config", str(cfgp),
@@ -243,9 +275,9 @@ def test_check_rejects_negative_seed(tmp_path, capsys):
     assert not (out / "check_report.json").exists()
 
 
-def test_check_builds_two_batches_per_epoch(tmp_path, monkeypatch):
-    # one build inside solve and one strict build per epoch; the g-residual
-    # and spike checks and the chain oracle reuse the strict batches
+def test_check_builds_one_batch_per_epoch(tmp_path, monkeypatch):
+    # one strict build per epoch; the solve, the g-residual and spike checks
+    # and the chain oracle all reuse the strict batches
     import attnmv.cli
     import attnmv.solver
     from attnmv.kernel import build_stencil_batch
@@ -265,7 +297,17 @@ def test_check_builds_two_batches_per_epoch(tmp_path, monkeypatch):
     rc = main(["check", "--config", str(cfgp),
                "--output-dir", str(tmp_path / "x")])
     assert rc == 0
-    assert sorted(calls) == [0.0, 0.0, 0.02, 0.02]
+    assert sorted(calls) == [0.0, 0.02]
+
+
+def test_check_wrong_horizon_is_config_error(tmp_path, capsys):
+    # h2 = 0.3 also fails the strict step-size build; the horizon check
+    # must run first and exit with the configuration code
+    rc = main(["check", "--config", str(DEFAULT_CONFIG), "--h2", "0.3",
+               "--output-dir", str(tmp_path / "x")])
+    assert rc == 2
+    assert "n_steps * h2 = 2.1 does not equal the horizon 2.0" \
+        in capsys.readouterr().err
 
 
 def test_refine_cauchy_table(tmp_path):

@@ -120,7 +120,7 @@ def test_matches_scalar_oracle(worked_setup):
         node = int(rng.integers(lat.n_nodes))
         u = float(rng.uniform(0, 2))
         pi = float(rng.uniform(mdl.attention_min, mdl.attention_max))
-        x, phi = lat.node_state(node)
+        x, phi = lat.x[node], lat.phi[node]
         p = law(mdl, lat, node, [u], pi)
         ref = scalar_stencil_2regime(mdl, lat.spec.h1, lat.spec.h2,
                                      x, float(phi[0]), u, pi)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from attnmv.errors import ConfigError, DomainError
+from attnmv.errors import ConfigError
 from attnmv.lattice import GridSpec, build_grid, outcome_offsets
 
 
@@ -41,15 +41,12 @@ def test_simplex_count_matches_binomial():
         assert lat.n_phi == math.comb(lat.K + m - 1, m - 1)
 
 
-def test_node_state_values():
+def test_node_coordinates():
     lat = build_grid(make_spec(), 2)
-    x, phi = lat.node_state(int(lat.index_of(0, np.array([0]))))
-    assert x == 0.0
-    x, phi = lat.node_state(int(lat.index_of(7, np.array([5]))))
-    assert x == pytest.approx(1.4)
-    assert phi[0] == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        lat.node_state(lat.n_nodes)
+    assert lat.x[int(lat.index_of(0, np.array([0])))] == 0.0
+    node = int(lat.index_of(7, np.array([5])))
+    assert lat.x[node] == pytest.approx(1.4)
+    assert lat.phi[node][0] == pytest.approx(1.0)
 
 
 def test_roundtrip_indexing():
@@ -130,8 +127,7 @@ def test_negative_wealth_range():
     lat = build_grid(make_spec(x_min=-1.0, x_max=1.0), 2)
     assert lat.n_x == 11
     assert lat.x.min() == -1.0
-    x, _ = lat.node_state(int(lat.index_of(2, np.array([0]))))
-    assert x == pytest.approx(-0.6)
+    assert lat.x[int(lat.index_of(2, np.array([0])))] == pytest.approx(-0.6)
 
 
 def test_horizon_check():

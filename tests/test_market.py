@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from attnmv.errors import DomainError
+from attnmv.errors import ConfigError, DomainError
 from attnmv.market import RegimeModel, example_model, validate_model
 
 
@@ -70,7 +70,7 @@ def test_piecewise_constant_tables():
     assert mdl.riskfree_at(1.0)[0] == 0.05
     assert mdl.riskfree_at(1.7)[1] == 0.05
     # drift table kept constant across the merged breakpoints
-    assert mdl.drift_at(1.7)[0, 0] == 0.08
+    assert mdl.drift[mdl.epoch_of(1.7)][0, 0] == 0.08
 
 
 def test_roundtrip_dict():
@@ -89,3 +89,18 @@ def test_load_model_from_shipped_config():
     mdl = load_config(path).model
     assert validate_model(mdl) == []
     assert mdl.m == 2 and mdl.d == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("m", 2.5), ("d", 1.9), ("m", "2"), ("d", None), ("m", True),
+])
+def test_from_dict_rejects_non_integer_counts(key, value):
+    # a fractional count used to be truncated without a word (m=2.5 ran as 2)
+    with pytest.raises(ConfigError, match=f"model.{key} must be an integer"):
+        example_model(**{key: value})
+
+
+def test_from_dict_accepts_integral_float_counts():
+    mdl = example_model(m=2.0, d=1.0)
+    assert (mdl.m, mdl.d) == (2, 1)
+    assert type(mdl.m) is int and type(mdl.d) is int

@@ -12,12 +12,13 @@ from attnmv.solver import ControlGrid, solve
 
 
 def test_objective_conventions():
-    mdl = example_model(risk_aversion=0.5)
     samples = np.array([1.0, 3.0])
-    lit = summarize(samples, mdl, 0.0, "paper-literal")
+    lit = summarize(samples, example_model(
+        risk_aversion=0.5, objective_convention="paper-literal"), 0.0)
     assert lit.mean_XT == 2.0 and lit.var_XT == 1.0
     assert lit.objective == pytest.approx(0.5)
-    mmv = summarize(samples, mdl, 0.0, "mean-minus-variance")
+    mmv = summarize(samples, example_model(
+        risk_aversion=0.5, objective_convention="mean-minus-variance"), 0.0)
     assert mmv.objective == pytest.approx(1.75)
 
 

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from attnmv.errors import SchemeError
+from attnmv.errors import ConfigError, SchemeError
 from attnmv.kernel import _coefficients, build_stencil_batch
 from attnmv.lattice import GridSpec, build_grid
 from attnmv.market import example_model
@@ -134,8 +134,7 @@ def test_candidate_linear_reproduces_drift(worked_setup):
     V = lat.x.copy()          # linear in wealth only
     g_lin = lat.x.copy()
     val = candidate(mdl, lat, node, 2.0, 1.0, V, g_lin)
-    x, _ = lat.node_state(node)
-    assert val == pytest.approx(x + 0.1 * lat.spec.h2, abs=1e-15)
+    assert val == pytest.approx(lat.x[node] + 0.1 * lat.spec.h2, abs=1e-15)
 
 
 # -- per-node optimization -----------------------------------------------------
@@ -264,7 +263,7 @@ def test_correction_matches_stencil_weight_identity(worked_setup):
         assert batch.valid[1, node]
         p = batch.probs[1, :, node]         # stay, x+, x-, phi+, phi-
         from attnmv.filtering import filter_drift
-        _, phi = lat.node_state(node)
+        phi = lat.phi[node]
         bbar = float(_coefficients(mdl, lat, 0.0, np.array([[u]]),
                                    np.array([pi]))[1][0, node])
         qtil = float(filter_drift(mdl, phi)[0])
@@ -412,6 +411,28 @@ def test_solve_deterministic(default_controls):
     assert np.array_equal(a.V, b.V)
     assert np.array_equal(a.g, b.g)
     assert np.array_equal(a.policy, b.policy)
+
+
+def test_solve_reuses_cache(default_controls):
+    mdl = example_model(T=0.02)
+    spec = small_spec(n_steps=20)
+    cache = StencilCache(mdl, build_grid(spec, mdl.m), default_controls)
+    a = solve(mdl, spec, default_controls, cache=cache)
+    assert a.lat is cache.lat and list(cache.batches) == [0]
+    b = solve(mdl, spec, default_controls)
+    assert np.array_equal(a.V, b.V) and np.array_equal(a.g, b.g)
+    assert np.array_equal(a.policy, b.policy)
+
+
+def test_solve_rejects_foreign_cache(default_controls):
+    mdl = example_model(T=0.02)
+    spec = small_spec(n_steps=20)
+    cache = StencilCache(mdl, build_grid(spec, mdl.m), default_controls)
+    for args in [(mdl.with_cost(0.2), spec, default_controls),
+                 (mdl, spec, frozen_grid(mdl)),
+                 (mdl, small_spec(n_steps=10, h2=0.002), default_controls)]:
+        with pytest.raises(ConfigError, match="stencil cache built for"):
+            solve(*args, cache=cache)
 
 
 def test_ratio_policy(short_fields):
