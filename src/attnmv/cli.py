@@ -27,8 +27,8 @@ from .errors import (EXIT_CONFIG, EXIT_OK, EXIT_PROPERTY, EXIT_SCHEME,
                      ConfigError, DomainError, SchemeError)
 from .kernel import build_stencil_batch, consistency_sweep
 from .lattice import GridSpec, build_grid
-from .market import (CONVENTIONS, RegimeModel, as_int, example_model,
-                     validate_model)
+from .market import (CONVENTIONS, RegimeModel, as_int, compose_objective,
+                     example_model, validate_model)
 from .oracle import marginal_check, simulate_chain
 from .solver import (ControlGrid, SolutionFields, StencilCache, g_residuals,
                      ratio_policy, solve, spike_margins)
@@ -441,7 +441,9 @@ def cmd_check(cfg: RunConfig) -> int:
     if cfg.policy_override is not None:
         _load_policy_override(fields, cfg.policy_override)
 
-    term_ok = np.array_equal(fields.V[-1], lat.x) and \
+    V_T = compose_objective(lat.x, 0.0, model.risk_aversion,
+                            model.objective_convention)
+    term_ok = np.array_equal(fields.V[-1], V_T) and \
         np.array_equal(fields.g[-1], lat.x)
     worst_g = max(float(g_residuals(model, fields, n, cache).max())
                   for n in range(spec.n_steps))

@@ -154,7 +154,7 @@ def _validate(probs, a, *, strict: bool):
         raise SchemeError(
             f"self-transition probability at node {n}, control "
             f"{ci} is negative ({stay[ci, n]:.3e}): time step too large; h2 "
-            f"must shrink by at least a factor {1.0 / nonstay[ci, n]:.6g}",
+            f"must be at most {1.0 / nonstay[ci, n]:.6g} times its value",
             node=n, control=ci, entry=0,
             value=float(stay[ci, n]), shrink=float(1.0 / nonstay[ci, n]))
     body[...] = clipped
@@ -168,11 +168,10 @@ class StencilBatch:
 
     ``probs[c, o, n]`` is the weight of outcome ``o`` from node ``n`` under
     control ``c``; ``valid[c, n]`` marks probability laws with all entries
-    in [0, 1].  ``ssT[c, n]`` is kept for the auxiliary-function correction.
+    in [0, 1].
     """
 
     probs: FloatArray        # (n_c, n_out, n_nodes)
-    ssT: FloatArray          # (n_c, n_nodes)
     valid: np.ndarray        # (n_c, n_nodes) bool
     max_mass: float          # largest non-stay mass encountered
     stay_residual: float     # |closed-form self mass - complement|, max
@@ -190,7 +189,7 @@ def build_stencil_batch(model: RegimeModel, lat: Lattice, t: float,
     valid, nonstay = _validate(probs, a, strict=strict)
     res = _stay_closed_form(bbar, qtil, ssT, a, lat.spec.h1, lat.spec.h2) \
         - probs[:, 0]
-    return StencilBatch(probs=probs, ssT=ssT, valid=valid,
+    return StencilBatch(probs=probs, valid=valid,
                         max_mass=float(nonstay.max(initial=0.0)),
                         stay_residual=float(np.abs(res[valid]).max(initial=0.0)))
 

@@ -25,6 +25,16 @@ FloatArray = NDArray[np.float64]
 CONVENTIONS = ("paper-literal", "mean-minus-variance")
 
 
+def compose_objective(mean, var, gamma: float, convention: str):
+    """``J(mean, var)`` of terminal wealth, elementwise; minimized where
+    ``J(0, 1) > 0``, maximized where it is negative."""
+    if convention == "paper-literal":
+        return var - 0.5 * gamma * mean
+    if convention == "mean-minus-variance":
+        return mean - 0.5 * gamma * var
+    raise DomainError(f"unknown objective convention {convention!r}")
+
+
 def as_int(value, name: str) -> int:
     """``value`` as an int; a fraction or a non-number is a ConfigError."""
     if isinstance(value, float) and value.is_integer():
@@ -63,10 +73,9 @@ class RegimeModel:
     risk_aversion : float
         gamma > 0 weighting the variance/mean trade-off.
     objective_convention : str
-        How the Monte-Carlo oracle composes its scalar objective;
-        one of ``paper-literal`` (Var - gamma/2 * Mean, minimized) or
-        ``mean-minus-variance`` (Mean - gamma/2 * Var).  The backward
-        recursion itself never depends on this choice.
+        One of ``CONVENTIONS``: the functional ``compose_objective`` of
+        terminal wealth that the recursion optimizes (its terminal value,
+        sense and variance weight) and the oracles report.
     """
 
     m: int

@@ -34,7 +34,7 @@ from scipy.linalg import expm
 
 from .errors import DomainError
 from .filtering import filter_step, full_belief
-from .market import FloatArray, RegimeModel
+from .market import FloatArray, RegimeModel, compose_objective
 from .solver import SolutionFields, StencilCache, _select
 
 
@@ -52,15 +52,6 @@ class McSummary:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def compose_objective(mean: float, var: float, gamma: float, convention: str) -> float:
-    """Scalar objective from the two moments, per the chosen convention."""
-    if convention == "paper-literal":
-        return var - 0.5 * gamma * mean
-    if convention == "mean-minus-variance":
-        return mean - 0.5 * gamma * var
-    raise DomainError(f"unknown objective convention {convention!r}")
 
 
 def summarize(samples: FloatArray, model: RegimeModel,

@@ -1,25 +1,21 @@
 """Backward induction for the coupled value / auxiliary-mean pair.
 
-Two fields are carried per time slice: the equilibrium value ``V`` and the
-auxiliary function ``g`` (the conditional expectation of terminal wealth
-under the equilibrium feedback law).  Stepping from slice ``n+1`` to ``n``:
+Per time slice the solver carries the equilibrium value ``V`` and the
+auxiliary function ``g`` (conditional mean of terminal wealth under the
+equilibrium feedback law).  With ``J(mean, var)`` the model's objective
+(``market.compose_objective``), ``b = J(0, 1)`` and ``s = sign(b)`` (``J``
+is minimized where ``s = 1``), the step from slice ``n+1`` to ``n`` is the
+extended HJB equation taken exactly on the chain:
 
-* every control's candidate value is the stencil-weighted average of
-  ``V_{n+1}`` plus a correction ``-(gamma/2) h2 [sbar^2 D2_x g_{n+1}
-  + pi * sum_{i,k} c_ik D2_{phi_i phi_k} g_{n+1}]`` built from the same
-  central second differences the stencil uses (paired four-point formula
-  for the cross terms), with ``c_ik = phi_i phi_k (zeta_i - zbar)(zeta_k -
-  zbar)``;
-* the minimizing control is recorded as the feedback policy (ties broken
-  by smallest position, then smallest attention: the enumeration order);
-* ``g`` is propagated as the plain stencil average under that control.
+* control ``c`` scores ``s E_c[V_{n+1}] + |b| Var_c[g_{n+1}]`` under its
+  stencil law; the lowest score is the policy (ties go to the enumeration
+  order: smallest position, then smallest attention) and ``V_n = s min``;
+* ``g_n`` is the stencil average of ``g_{n+1}`` under that control.
 
-Terminal condition: both fields equal the node wealth.
-
-A candidate value is only ever a row of ``_candidates``: the sweep and
-the one-step ("spike") check evaluate the same (control, node) table from
-the same cached stencil batch, so the spike margin of a solved run is
-exactly zero and any corrupted policy shows a strictly negative margin.
+From ``V_N = J(x, 0)`` and ``g_N = x`` this gives ``V = J(g, h - g^2)``,
+``h`` the conditional second moment of terminal wealth.  The sweep and the
+one-step ("spike") check read the same ``_candidates`` table from the same
+cached batch, so a solved run's spike margin is exactly zero.
 """
 
 from __future__ import annotations
@@ -30,10 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, SchemeError
-from .filtering import full_belief
 from .kernel import StencilBatch, build_stencil_batch
 from .lattice import GridSpec, Lattice, build_grid
-from .market import FloatArray, RegimeModel, validate_model
+from .market import (FloatArray, RegimeModel, compose_objective,
+                     validate_model)
 
 log = logging.getLogger("attnmv")
 
@@ -116,55 +112,29 @@ class SolutionFields:
 
 
 # ---------------------------------------------------------------------------
-# correction term and candidate evaluation
+# candidate evaluation
 
 
-def _quad_coefficients(model: RegimeModel, lat: Lattice) -> FloatArray:
-    """Belief covariance loadings c_ik (no attention factor), per node."""
-    full = full_belief(lat.phi, m=model.m, validate=False)
-    zbar = full @ model.signal_levels
-    w = lat.phi * (model.signal_levels[: model.m - 1][None, :] - zbar[:, None])
-    return w[:, :, None] * w[:, None, :]                        # (n, mm, mm)
-
-
-def _second_differences(lat: Lattice, values: FloatArray, cmat: FloatArray):
-    """(D2_x values, quadratic-form of belief second differences) per node."""
-    h1 = lat.spec.h1
-    mm = lat.m - 1
-    nbr = lat.neighbors
-    v = values
-    d2x = (v[nbr[:, 1]] + v[nbr[:, 2]] - 2.0 * v) / (h1 * h1)
-    quad = np.zeros(lat.n_nodes)
-    for i in range(mm):
-        d2i = (v[nbr[:, 3 + 2 * i]] + v[nbr[:, 4 + 2 * i]] - 2.0 * v) / (h1 * h1)
-        quad += cmat[:, i, i] * d2i
-    o = 3 + 2 * mm
-    for i in range(mm):
-        for k in range(mm):
-            if i == k:
-                continue
-            cross = (v[nbr[:, o]] + v[nbr[:, o + 1]]
-                     - v[nbr[:, o + 2]] - v[nbr[:, o + 3]]) / (4.0 * h1 * h1)
-            quad += cmat[:, i, k] * cross
-            o += 4
-    return d2x, quad
-
-
-def _corrections(cache: StencilCache, batch: StencilBatch,
-                 g_next: FloatArray) -> FloatArray:
-    """Correction term per control and node, shape (n_c, n_nodes)."""
-    d2x, quad = _second_differences(cache.lat, g_next, cache.cmat)
-    gamma, h2 = cache.model.risk_aversion, cache.lat.spec.h2
-    return -0.5 * gamma * h2 * (batch.ssT * d2x[None, :]
-                                + cache.pi_arr[:, None] * quad[None, :])
+def _variance_weight(model: RegimeModel) -> float:
+    """``b = J(0, 1)``, the objective's weight on the variance (never 0)."""
+    return compose_objective(0.0, 1.0, model.risk_aversion,
+                             model.objective_convention)
 
 
 def _candidates(cache: StencilCache, batch: StencilBatch, V_next: FloatArray,
                 g_next: FloatArray) -> FloatArray:
-    """Candidate values (n_c, n_nodes); invalid controls get +inf."""
-    v_nbr = V_next[cache.lat.neighbors]                         # (n, n_out)
-    cand = np.einsum("con,no->cn", batch.probs, v_nbr)
-    cand += _corrections(cache, batch, g_next)
+    """``s E_c[V] + |b| Var_c[g]`` (n_c, n_nodes); invalid controls get +inf.
+
+    ``Var_c`` is taken of ``g`` minus the node's own value: the same
+    variance with small squares, so a pure stay scores exactly ``s V``.
+    """
+    b = _variance_weight(cache.model)
+    nbr = cache.lat.neighbors
+    dg = g_next[nbr] - g_next[:, None]                          # (n, n_out)
+    cand = np.einsum("con,no->cn", batch.probs,
+                     np.sign(b) * V_next[nbr] + abs(b) * (dg * dg))
+    mean = np.einsum("con,no->cn", batch.probs, dg)
+    cand -= abs(b) * (mean * mean)
     if not batch.valid.all():
         cand = np.where(batch.valid, cand, np.inf)
     return cand
@@ -175,18 +145,13 @@ def _candidates(cache: StencilCache, batch: StencilBatch, V_next: FloatArray,
 
 
 class StencilCache:
-    """Stencil batches per coefficient epoch, plus the belief loadings.
-
-    ``cmat`` (the ``c_ik`` of the correction term) depends only on the
-    lattice and the signal levels, so it is computed once per cache.
-    """
+    """Stencil batches per coefficient epoch, built on first use."""
 
     def __init__(self, model, lat, grid):
         self.model = model
         self.lat = lat
         self.grid = grid
         self.u_arr, self.pi_arr = grid.enumerate()
-        self.cmat = _quad_coefficients(model, lat)
         self.batches: dict[int, StencilBatch] = {}     # by epoch index
 
     def batch(self, t: float) -> StencilBatch:
@@ -227,9 +192,9 @@ def step_back(model: RegimeModel, fields: SolutionFields, n: int,
         shrink = float(1.0 / (1.0 - stay[stay < 0.0].max()))
         raise SchemeError(
             f"every control violates the step-size condition at node {bad} "
-            f"(slice {n}); h2 must shrink by at least a factor {shrink:.6g}",
+            f"(slice {n}); h2 must be at most {shrink:.6g} times its value",
             node=bad, shrink=shrink)
-    fields.V[n] = best
+    fields.V[n] = np.sign(_variance_weight(cache.model)) * best
     fields.policy[n] = idx.astype(np.int32)
     probs_sel = _select(batch.probs, idx)
     fields.g[n] = np.einsum("on,no->n", probs_sel, fields.g[n + 1][lat.neighbors])
@@ -265,7 +230,8 @@ def solve(model: RegimeModel, spec: GridSpec, grid: ControlGrid,
         policy=np.empty((N, lat.n_nodes), dtype=np.int32),
         clamped_mass=np.zeros(N),
     )
-    fields.V[N] = lat.x
+    fields.V[N] = compose_objective(lat.x, 0.0, model.risk_aversion,
+                                    model.objective_convention)
     fields.g[N] = lat.x
     report_every = max(1, N // 10)
     for n in range(N - 1, -1, -1):

@@ -6,6 +6,7 @@ import pytest
 
 from attnmv.cli import _parse_ladder, load_config, main
 from attnmv.errors import ConfigError
+from attnmv.market import compose_objective
 
 HERE = Path(__file__).resolve().parent
 DEFAULT_CONFIG = HERE.parent / "configs" / "default.json"
@@ -113,7 +114,9 @@ def test_solve_frozen_value_equals_wealth(tmp_path):
     out = tmp_path / "frozen"
     assert main(["solve", "--config", str(cfgp), "--output-dir", str(out)]) == 0
     data = np.genfromtxt(out / "slice_t0.0.csv", delimiter=",", names=True)
-    np.testing.assert_array_equal(data["V"], data["x"])
+    # nothing moves, so V keeps its terminal value J(x, 0) = -(gamma/2) x
+    np.testing.assert_array_equal(
+        data["V"], compose_objective(data["x"], 0.0, 0.5, "paper-literal"))
     np.testing.assert_array_equal(data["g"], data["x"])
 
 
@@ -189,7 +192,7 @@ def test_sweep_k_rejects_off_grid_eval(tmp_path, capsys, point, message):
 def test_every_subcommand_writes_timing(tmp_path):
     cfgp = short_config(tmp_path)
     override = tmp_path / "corrupt.json"
-    override.write_text(json.dumps({"overrides": [[10, 66, 0]]}))
+    override.write_text(json.dumps({"overrides": [[10, 66, 4]]}))
     runs = [("solve", [], 0), ("sweep-k", [], 0), ("check", [], 0),
             ("refine", [], 0),
             ("check", ["--policy-override", str(override)], 4)]
@@ -233,9 +236,9 @@ def test_check_dump_terminal(tmp_path):
 
 def test_check_detects_corrupted_policy(tmp_path):
     cfgp = short_config(tmp_path)
-    # replace the optimal attention with the other extreme at one node
+    # replace the optimal lowest attention with the highest at one node
     override = tmp_path / "corrupt.json"
-    override.write_text(json.dumps({"overrides": [[10, 66, 0]]}))
+    override.write_text(json.dumps({"overrides": [[10, 66, 4]]}))
     out = tmp_path / "check_bad"
     rc = main(["check", "--config", str(cfgp), "--output-dir", str(out),
                "--policy-override", str(override)])
@@ -337,7 +340,7 @@ def test_refine_frozen_identical_values(tmp_path):
     assert main(["refine", "--config", str(cfgp),
                  "--output-dir", str(out)]) == 0
     man = json.loads((out / "refine_manifest.json").read_text())
-    assert man["values"][0] == man["values"][1] == 2.0
+    assert man["values"][0] == man["values"][1] == -0.25 * 2.0
     assert man["diffs"][1] == 0.0
     assert man["cauchy"] is True
 

@@ -1,15 +1,16 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from attnmv.errors import ConfigError, SchemeError
-from attnmv.kernel import _coefficients, build_stencil_batch
+from attnmv.kernel import build_stencil_batch
 from attnmv.lattice import GridSpec, build_grid
-from attnmv.market import example_model
+from attnmv.market import compose_objective, example_model
 from attnmv.solver import (ControlGrid, SolutionFields, StencilCache,
-                           _candidates, _corrections, g_residuals,
-                           ratio_policy, solve, spike_margins, step_back)
+                           _candidates, g_residuals, ratio_policy, solve,
+                           spike_margins, step_back)
 
 
 def frozen_model():
@@ -38,15 +39,16 @@ def one_control(mdl, lat, u, pi):
     return cache, cache.batch(0.0)
 
 
-def correction(mdl, lat, node, u, pi, g_next):
-    cache, batch = one_control(mdl, lat, u, pi)
-    return float(_corrections(cache, batch, np.asarray(g_next, float))[1, node])
-
-
 def candidate(mdl, lat, node, u, pi, V_next, g_next):
     cache, batch = one_control(mdl, lat, u, pi)
     return float(_candidates(cache, batch, np.asarray(V_next, float),
                              np.asarray(g_next, float))[1, node])
+
+
+def terminal_value(mdl, lat):
+    """J(x, 0): the objective of a sure terminal wealth x."""
+    return compose_objective(lat.x, 0.0, mdl.risk_aversion,
+                             mdl.objective_convention)
 
 
 def step_from(mdl, lat, grid, V_next, g_next):
@@ -78,45 +80,20 @@ def test_control_grid_requires_zero():
         ControlGrid(u_levels=np.array([[1.0]]), pi_levels=np.array([0.5]))
 
 
-# -- g correction ------------------------------------------------------------
-
-def test_g_correction_affine_vanishes(worked_setup):
-    mdl, lat, node = worked_setup
-    g_aff = 3.0 + 2.0 * lat.x + 0.7 * lat.phi[:, 0]
-    assert correction(mdl, lat, node, 2.0, 1.0, g_aff) == pytest.approx(
-        0.0, abs=1e-12)
-
-
-def test_g_correction_scales_with_gamma(worked_setup):
-    mdl, lat, node = worked_setup
-    g_quad = lat.x ** 2
-    base = correction(mdl, lat, node, 2.0, 1.0, g_quad)
-    half = example_model(generator=[[-1.0, 1.0], [2.0, -2.0]], riskfree=0.0,
-                         drift=[[0.05], [0.05]], vol=[[[0.1]], [[0.1]]],
-                         cost_coeff=0.0, risk_aversion=0.25)
-    assert correction(half, lat, node, 2.0, 1.0, g_quad) == pytest.approx(
-        base / 2, rel=1e-12)
-
-
-def test_g_correction_quadratic_exact():
-    # sbar^2 = 0.04, gamma = 0.5, h2 = 0.001, D2_x x^2 = 2 exactly, no
-    # belief diffusion: correction is -2e-5
-    mdl = example_model(vol=[[[0.2]], [[0.2]]], signal_levels=[1.0, 1.0],
-                        risk_aversion=0.5)
-    lat = build_grid(small_spec(), 2)
-    node = int(lat.index_of(5, np.array([1])))
-    val = correction(mdl, lat, node, 1.0, 1.0, lat.x ** 2)
-    assert val == pytest.approx(-2e-5, rel=1e-12)
-
-
 # -- candidate values ----------------------------------------------------------
 
+# one-step wealth variance at the worked node under (u=2, pi=1):
+# (sbar^2 + |bbar| h1) h2 - (bbar h2)^2 on the default grid
+WORKED_VAR = (0.04 + 0.1 * 0.2) * 0.001 - (0.1 * 0.001) ** 2
+
+
 def test_candidate_constant_field(worked_setup):
+    # paper-literal: b = J(0, 1) = 1, so the candidate is E[V] + Var[g]
     mdl, lat, node = worked_setup
     V = np.full(lat.n_nodes, 7.25)
     g = 1.0 + 0.5 * lat.x
     assert candidate(mdl, lat, node, 2.0, 1.0, V, g) == pytest.approx(
-        7.25, abs=1e-12)
+        7.25 + 0.25 * WORKED_VAR, abs=1e-12)
 
 
 def test_candidate_frozen_identity():
@@ -134,7 +111,17 @@ def test_candidate_linear_reproduces_drift(worked_setup):
     V = lat.x.copy()          # linear in wealth only
     g_lin = lat.x.copy()
     val = candidate(mdl, lat, node, 2.0, 1.0, V, g_lin)
-    assert val == pytest.approx(lat.x[node] + 0.1 * lat.spec.h2, abs=1e-15)
+    assert val == pytest.approx(lat.x[node] + 0.1 * lat.spec.h2 + WORKED_VAR,
+                                abs=1e-15)
+
+
+def test_candidate_mean_minus_variance_sense(worked_setup):
+    # b = J(0, 1) = -gamma/2 < 0, so the candidate is -E[V] + (gamma/2) Var[g]
+    mdl, lat, node = worked_setup
+    mdl = replace(mdl, objective_convention="mean-minus-variance")
+    val = candidate(mdl, lat, node, 2.0, 1.0, lat.x, lat.x)
+    assert val == pytest.approx(-(lat.x[node] + 0.1 * lat.spec.h2)
+                                + 0.25 * WORKED_VAR, abs=1e-15)
 
 
 # -- per-node optimization -----------------------------------------------------
@@ -208,86 +195,27 @@ def test_solve_frozen_propagates_terminal():
     mdl = frozen_model()
     spec = small_spec(n_steps=10)
     fields = solve(mdl, spec, frozen_grid(mdl))
-    np.testing.assert_array_equal(fields.V[0], fields.lat.x)
+    np.testing.assert_array_equal(fields.V[0], terminal_value(mdl, fields.lat))
     np.testing.assert_array_equal(fields.g[0], fields.lat.x)
     assert np.all(fields.policy_pi(0) == mdl.attention_min)
     assert np.all(fields.policy_u(0) == 0.0)
 
 
 def test_terminal_identities(short_fields):
-    _, _, fields = short_fields
-    np.testing.assert_array_equal(fields.V[-1], fields.lat.x)
+    mdl, _, fields = short_fields
+    np.testing.assert_array_equal(fields.V[-1], terminal_value(mdl, fields.lat))
     np.testing.assert_array_equal(fields.g[-1], fields.lat.x)
-
-
-def test_one_step_brute_force_oracle(default_model):
-    """Exhaustive scalar enumeration reproduces one backward step."""
-    spec = small_spec(n_steps=1, h2=0.001)
-    mdl = example_model(T=0.001)
-    cg = ControlGrid.regular(d=1, u_max=1.0, du=0.5,
-                             pi_min=mdl.attention_min,
-                             pi_max=mdl.attention_max, n_pi=3)
-    fields = solve(mdl, spec, cg)
-    lat = fields.lat
-    u_arr, pi_arr = cg.enumerate()
-    # each control's law from its own one-control build
-    laws = [build_stencil_batch(mdl, lat, 0.0, u_arr[ci:ci + 1],
-                                pi_arr[ci:ci + 1], strict=True).probs[0]
-            for ci in range(len(pi_arr))]
-    for node in range(0, lat.n_nodes, 7):
-        best_val, best_ci = None, None
-        for ci in range(len(pi_arr)):
-            val = float(laws[ci][:, node] @ lat.x[lat.neighbors[node]])
-            # terminal g is linear, the correction vanishes
-            if best_val is None or val < best_val:
-                best_val, best_ci = val, ci
-        assert fields.V[0][node] == pytest.approx(best_val, abs=1e-12)
-        assert int(fields.policy[0][node]) == best_ci
-
-
-def test_correction_matches_stencil_weight_identity(worked_setup):
-    """The correction equals the weight-form expression built from the
-    stencil itself: for two regimes,
-    gamma * [ g(y)(1 - p_stay - (|qtil| + |bbar|) h2/h1)
-              + (g(x+h1) + g(x-h1)) (bbar+ h2 - p2+ h1)/h1
-              + (g(phi+h1) + g(phi-h1)) (qtil+ h2 - p3+ h1)/h1 ]
-    collapses to the central-difference form because the upwind parts
-    cancel inside the weights.
-    """
-    mdl, lat, node = worked_setup
-    rng = np.random.default_rng(17)
-    g_vals = np.exp(0.3 * lat.x) + np.sin(2.0 * lat.phi[:, 0]) \
-        + rng.normal(scale=0.05, size=lat.n_nodes)
-    for u, pi in [(2.0, 1.0), (0.7, 0.4), (0.0, 2.0)]:
-        cache, batch = one_control(mdl, lat, u, pi)
-        assert batch.valid[1, node]
-        p = batch.probs[1, :, node]         # stay, x+, x-, phi+, phi-
-        from attnmv.filtering import filter_drift
-        phi = lat.phi[node]
-        bbar = float(_coefficients(mdl, lat, 0.0, np.array([[u]]),
-                                   np.array([pi]))[1][0, node])
-        qtil = float(filter_drift(mdl, phi)[0])
-        h1, h2 = lat.spec.h1, lat.spec.h2
-        gamma = mdl.risk_aversion
-        nbr = lat.neighbors[node]
-        wx = (max(bbar, 0.0) * h2 - p[1] * h1) / h1
-        wphi = (max(qtil, 0.0) * h2 - p[3] * h1) / h1
-        wself = 1.0 - p[0] - (abs(qtil) + abs(bbar)) * h2 / h1
-        printed = gamma * (g_vals[node] * wself
-                           + (g_vals[nbr[1]] + g_vals[nbr[2]]) * wx
-                           + (g_vals[nbr[3]] + g_vals[nbr[4]]) * wphi)
-        direct = float(_corrections(cache, batch, g_vals)[1, node])
-        assert printed == pytest.approx(direct, rel=1e-10, abs=1e-18)
 
 
 def test_g_matches_exact_mean_recursion():
     """Independent oracle: when the solved policy is the same control at
     every node, the chain's conditional means are affine in the state, so
     the exact scalar recursion for (mean wealth, mean belief) reproduces g
-    to roundoff.  Negative excess returns in both regimes make the
-    minimizer take the full risky position everywhere.
+    to roundoff.  Excess returns of 0.27 and 0.17 outweigh the variance
+    of the full position under the paper-literal objective with gamma = 2,
+    so it is the solved control at every node.
     """
-    mdl = example_model(T=0.2, drift=[[0.0], [0.01]],
+    mdl = example_model(T=0.2, drift=[[0.3], [0.2]], risk_aversion=2.0,
                         attention_min=1.0, attention_max=1.0)
     spec = small_spec(n_steps=200)
     u0, pi0 = 0.5, 1.0
@@ -295,9 +223,7 @@ def test_g_matches_exact_mean_recursion():
                              n_pi=1)
     fields = solve(mdl, spec, cg)
     lat = fields.lat
-    # uniform (u0, pi0) except the clamped x=0 column, whose occupancy from
-    # the start state is ~1e-20 (10 net down-moves at ~3e-4 each)
-    assert np.all(fields.policy[:, lat.ix >= 1] == 1)
+    assert np.all(fields.policy == 1)
     start = int(lat.index_of(10, np.array([1])))    # x=2, phi=0.2
 
     q = mdl.generator
@@ -310,34 +236,6 @@ def test_g_matches_exact_mean_recursion():
         xbar += ((r - k * pi0 * pi0) * xbar + theta_mix * u0) * spec.h2
         pbar += (q[0, 0] * pbar + q[1, 0] * (1 - pbar)) * spec.h2
     assert fields.g[0][start] == pytest.approx(xbar, abs=1e-10)
-
-
-def test_two_step_brute_force_with_active_correction():
-    """Second backward step against scalar enumeration at nodes where the
-    boundary kink makes the correction term nonzero."""
-    mdl = example_model(T=0.002)
-    spec = small_spec(n_steps=2)
-    cg = ControlGrid.regular(d=1, u_max=1.0, du=0.5,
-                             pi_min=mdl.attention_min,
-                             pi_max=mdl.attention_max, n_pi=2)
-    fields = solve(mdl, spec, cg)
-    lat = fields.lat
-    cache = StencilCache(mdl, lat, cg)
-    batch = cache.batch(spec.h2)
-    corr = _corrections(cache, batch, fields.g[1])
-    cand = _candidates(cache, batch, fields.V[1], fields.g[1])
-    # nodes adjacent to the upper wealth boundary carry a g kink
-    band = np.nonzero(lat.ix >= lat.n_x - 3)[0]
-    active = False
-    for node in band:
-        best = None
-        for ci in range(cg.n_controls):
-            active = active or corr[ci, node] != 0.0
-            val = float(cand[ci, node])
-            if best is None or val < best:
-                best = val
-        assert fields.V[0][node] == pytest.approx(best, rel=1e-12, abs=1e-15)
-    assert active          # the correction actually participated
 
 
 def test_g_propagation_identity(short_fields):
@@ -358,11 +256,11 @@ def test_spike_check_scalar_and_corruption(short_fields):
     lat = fields.lat
     node = int(lat.index_of(10, np.array([1])))
     assert spike_margins(mdl, fields, 100)[node] >= -1e-12
-    # corrupt: force lowest attention where high attention is optimal
+    # corrupt: force the highest attention where the lowest is optimal
+    n_pi = len(fields.grid.pi_levels)
     row = fields.policy[100].copy()
-    assert row[node] % len(fields.grid.pi_levels) != 0
-    row[node] = (row[node] // len(fields.grid.pi_levels)) * \
-        len(fields.grid.pi_levels)
+    assert row[node] % n_pi == 0
+    row[node] += n_pi - 1
     margins = spike_margins(mdl, fields, 100, policy_row=row)
     assert margins[node] < 0.0
 
@@ -460,7 +358,7 @@ def three_regime_model(**overrides):
 def test_masked_controls_solve_pin():
     # three regimes with informative signals: some (control, node) laws are
     # invalid and masked with +inf; the SHA-256 of V, g and the policy was
-    # recorded before the scalar candidate path was deleted
+    # recorded when candidates became the stencil's variance of g
     mdl = three_regime_model()
     spec = small_spec(n_steps=10)
     cg = ControlGrid(u_levels=[[0.0], [1.0]], pi_levels=[0.0, 0.5, 2.0])
@@ -470,8 +368,8 @@ def test_masked_controls_solve_pin():
     digest = hashlib.sha256()
     for a in (fields.V, fields.g, fields.policy):
         digest.update(np.ascontiguousarray(a).tobytes())
-    assert digest.hexdigest() == ("f8d6450b268986abe46a80d80d05fa42"
-                                  "ae341def5e1e6e9f99ce725dffb3604d")
+    assert digest.hexdigest() == ("2c1213ca91dc9046ce800487bfe22b86"
+                                  "23b183a4be675dadfbd90cc52e7cc7b9")
     for n in range(spec.n_steps):
         assert spike_margins(mdl, fields, n).min() >= 0.0
         assert g_residuals(mdl, fields, n).max() == 0.0
