@@ -204,15 +204,17 @@ class Lattice:
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
         phi = np.atleast_2d(np.asarray(phi, dtype=np.float64))
         h1 = self.spec.h1
-        ix = np.clip(np.rint((x - self.spec.x_min) / h1).astype(np.int64),
-                     0, self.n_x - 1)
-        w = np.clip(np.rint(phi / h1).astype(np.int64), 0, self.K)
-        # column sums: exact in int64, cheaper than short-row reductions
-        excess = sum(w.T) - self.K
-        for b in np.flatnonzero(excess > 0):
-            row = w[b]
-            for _ in range(int(excess[b])):
-                row[int(np.argmax(row))] -= 1
+        ix = np.rint((x - self.spec.x_min) / h1).astype(np.int64)
+        np.minimum(np.maximum(ix, 0, out=ix), self.n_x - 1, out=ix)
+        w = np.rint(phi / h1).astype(np.int64)
+        np.minimum(np.maximum(w, 0, out=w), self.K, out=w)
+        if self.m > 2:      # one coordinate clipped to K is on the simplex
+            # column sums: exact in int64, cheaper than short-row reductions
+            excess = sum(w.T) - self.K
+            for b in np.flatnonzero(excess > 0):
+                row = w[b]
+                for _ in range(int(excess[b])):
+                    row[int(np.argmax(row))] -= 1
         key = sum(w.T * self._strides[:, None])
         return ix * self.n_phi + self._phi_row[key]
 

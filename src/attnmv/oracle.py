@@ -4,10 +4,13 @@ Two simulators cross-check the backward recursion:
 
 * ``simulate_sde`` integrates the filtered wealth-belief dynamics by
   Euler-Maruyama under a feedback policy (wealth and belief driven by
-  independent Brownian increments);
+  independent Brownian increments).  Its own drift code sums regimes,
+  then positions, in index order on length-B path arrays, with no BLAS
+  product or einsum;
 * ``simulate_chain`` walks the discrete chain with the exact transition
   stencils under the stored policy, so the sample mean of terminal wealth
-  estimates the auxiliary function ``g`` at the start node.
+  estimates the auxiliary function ``g`` at the start node.  Outcome 0
+  is the stay, so a step moves only the paths past its threshold.
 
 ``marginal_check`` validates the belief simulation alone against the
 matrix exponential of the generator transpose: the belief mean follows
@@ -203,8 +206,9 @@ class FeedbackPolicy:
     def __call__(self, t: float, x: FloatArray, phi: FloatArray):
         f = self.fields
         n = min(math.floor(t / f.spec.h2 + 1e-9), f.spec.n_steps - 1)
-        idx = f.policy[n][f.lat.nearest_node(x, phi)]
-        return self.u_all[idx], self.pi_all[idx]
+        node = f.lat.nearest_node(x, phi)
+        return (self.u_all[f.policy[n]][node],
+                self.pi_all[f.policy[n]][node])
 
 
 class ConstantPolicy:
@@ -217,6 +221,14 @@ class ConstantPolicy:
     def __call__(self, t, x, phi):
         n = len(np.atleast_1d(x))
         return np.tile(self.u, (n, 1)), np.full(n, self.pi)
+
+
+def _dot(a, b):
+    """``a[0] * b[0] + a[1] * b[1] + ...``, added in index order."""
+    out = a[0] * b[0]
+    for p, q in zip(a[1:], b[1:]):
+        out = out + p * q
+    return out
 
 
 def simulate_sde(model: RegimeModel, policy, t0: float, x0: float,
@@ -233,12 +245,14 @@ def simulate_sde(model: RegimeModel, policy, t0: float, x0: float,
     n_steps = int(round(span / h2))
     if n_steps < 1 or abs(n_steps * h2 - span) > 1e-9 * max(1.0, span):
         raise DomainError(f"horizon {span} is not a multiple of the step {h2}")
-    d = model.d
+    m, d, k = model.m, model.d, model.cost_coeff
     sqrt_h2 = np.sqrt(h2)
     lo, hi = x_bounds
     times = [t0 + j * h2 for j in range(n_steps)]
     epochs = [model.epoch_of(t) for t in times]
-    coeffs = {e: (model.riskfree_at(t), model.theta_at(t).T, model.vol_at(t))
+    # per epoch: r[i], theta[i][l] and vol_t[i][j][l] = vol[i][l][j]
+    coeffs = {e: (model.riskfree_at(t).tolist(), model.theta_at(t).tolist(),
+                  model.vol_at(t).transpose(0, 2, 1).tolist())
               for e, t in dict(zip(epochs, times)).items()}
 
     def walk(dw):
@@ -247,15 +261,16 @@ def simulate_sde(model: RegimeModel, policy, t0: float, x0: float,
         phi = np.tile(np.asarray(phi0, dtype=np.float64), (count, 1))
         out = np.zeros(count, dtype=bool)
         for j, (t, e) in enumerate(zip(times, epochs)):
-            r, theta_t, vol = coeffs[e]
+            r, theta, vol_t = coeffs[e]
             u, pi = policy(t, x, phi)
-            full = full_belief(phi, m=model.m, validate=False)
-            per_regime = (r[:, None] * x + (u @ theta_t).T).T  # (B, m)
-            bbar = (full * per_regime).sum(axis=1) \
-                - model.cost_coeff * pi * pi * x
-            usig = np.einsum("bl,ilj->bij", u, vol)
-            sbar = np.einsum("bi,bij->bj", full, usig)         # (B, d)
-            x = x + bbar * h2 + (sbar * dw[:, j, :d]).sum(axis=1) * sqrt_h2
+            ul = [u[:, l] for l in range(d)]
+            w = [phi[:, i] for i in range(m - 1)]
+            w.append(1.0 - sum(w[1:], w[0]))
+            bbar = _dot(w, [r[i] * x + _dot(ul, theta[i]) for i in range(m)]) \
+                - k * pi * pi * x
+            sbar = [_dot(w, [_dot(ul, vol_t[i][jj]) for i in range(m)])
+                    for jj in range(d)]
+            x = x + bbar * h2 + _dot(sbar, dw[:, j, :d].T) * sqrt_h2
             phi = filter_step(model, phi, pi, dw[:, j, d] * sqrt_h2, h2)
             out |= (x < lo) | (x > hi)
         return x, int(out.sum())
@@ -299,12 +314,17 @@ def simulate_chain(model: RegimeModel, fields: SolutionFields, start_node: int,
         nodes = np.full(len(uni), int(start_node), dtype=np.int64)
         hit = on_x_boundary[nodes]
         for n in range(N):
-            u = np.ascontiguousarray(uni[:, n])
-            flat = nodes * lat.n_out
-            for row in thresholds[n] if precompute else slice_thresholds(n):
-                flat += row[nodes] < u
-            nodes = lat.neighbors.ravel()[flat]
-            hit |= on_x_boundary[nodes]
+            thr = thresholds[n] if precompute else slice_thresholds(n)
+            u = uni[:, n]
+            # outcome 0 stays put: only paths past its threshold move
+            moving = np.flatnonzero(thr[0][nodes] < u)
+            at, um = nodes[moving], u[moving]
+            flat = at * lat.n_out + 1
+            for row in thr[1:]:
+                flat += row[at] < um
+            to = lat.neighbors.ravel()[flat]
+            nodes[moving] = to
+            hit[moving] |= on_x_boundary[to]
         return lat.x[nodes], int(hit.sum())
 
     parts = _walk_paths(walk, n_paths, seed, batch_size, (N,), "random")

@@ -150,20 +150,24 @@ def test_criterion_05_g_vs_chain(cfg, default_run):
 
 
 def test_criterion_06_chain_vs_sde(ladder_runs):
+    # the mean gap may exceed three joint standard errors by C (h1 + h2) at
+    # most, with C declared here, not fitted to the rows it checks
+    C = 0.05
     noise_floor = 1e-6
     rows = []
     for spec, fields, node, chain, sde in ladder_runs:
         gap = abs(sde.mean_XT - chain.mean_XT)
         band = 3.0 * (sde.se_mean + chain.se_mean)
-        excess = max(0.0, gap - band)
-        rows.append((spec.h1, spec.h2, gap, band, excess / (spec.h1 + spec.h2)))
-    fitted_c = max(r[4] for r in rows)
-    holds = all(r[2] <= r[3] + fitted_c * (r[0] + r[1]) + 1e-15 for r in rows)
-    positive = [r[4] for r in rows if r[4] > noise_floor]
+        rows.append((spec.h1 + spec.h2, gap, band, max(0.0, gap - band)))
+    holds = all(gap <= band + C * step for step, gap, band, _ in rows)
+    positive = [excess / step for step, _, _, excess in rows
+                if excess / step > noise_floor]
     stable = len(positive) <= 1 or max(positive) <= 2.0 * min(positive)
     ok = holds and stable
     report(6, "chain vs SDE weak agreement", ok,
-           f"C={fitted_c:.4g} per-rung C={[round(r[4], 4) for r in rows]}")
+           f"C={C} " + " ".join(f"[gap={gap:.3g} band={band:.3g} "
+                                f"excess={excess:.3g}]"
+                                for _, gap, band, excess in rows))
 
 
 def test_criterion_07_filter_marginal(cfg):

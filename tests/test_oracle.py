@@ -1,14 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from attnmv.errors import DomainError
-from attnmv.lattice import GridSpec
+from attnmv.lattice import GridSpec, build_grid
 from attnmv.market import example_model
 from attnmv.oracle import (ConstantPolicy, FeedbackPolicy, _path_streams,
                            marginal_check, simulate_chain, simulate_sde,
                            summarize)
-from attnmv.solver import ControlGrid, solve
+from attnmv.solver import ControlGrid, StencilCache, solve
 
 
 def test_objective_conventions():
@@ -86,6 +88,83 @@ def test_sde_batching_invariance(short_fields):
     a = simulate_sde(mdl, pol, batch_size=37, **kw)
     b = simulate_sde(mdl, pol, batch_size=300, **kw)
     assert a == b
+
+
+def _frozen_belief_model(m, d):
+    # zero generator and zero signal levels: filter_step returns phi as is
+    return example_model(
+        m=m, d=d, T=0.02, generator=np.zeros((m, m)).tolist(),
+        signal_levels=[0.0] * m, cost_coeff=0.1,
+        riskfree=[0.03 + 0.01 * i for i in range(m)],
+        drift=[[0.08 - 0.02 * i + 0.01 * l for l in range(d)]
+               for i in range(m)],
+        vol=[[[(0.2 + 0.05 * i) if l == j else 0.03 * (l + 1)
+               for j in range(d)] for l in range(d)] for i in range(m)])
+
+
+def _affine_control(x, d):
+    # the same float operations for a path array and for one path's float
+    u = [0.5 + 0.25 * (l + 1) * x for l in range(d)]
+    return u, 0.5 * x + 0.25
+
+
+def _scalar_sde(model, x0, phi0, n_paths, seed, h2, lo, hi):
+    """Per-path Euler loop in Python floats, every sum in index order."""
+    m, d, k = model.m, model.d, model.cost_coeff
+    r = model.riskfree[0].tolist()
+    theta = model.theta_at(0.0).tolist()
+    vol = model.vol[0].tolist()
+    n_steps = round(model.T / h2)
+    w = [float(v) for v in phi0]
+    last = w[0]
+    for v in w[1:]:
+        last = last + v
+    w.append(1.0 - last)
+    terminal, hits = [], 0
+    for path in range(n_paths):
+        dw = np.random.default_rng([seed, path]).standard_normal(
+            (n_steps, d + 1)).tolist()
+        x, out = x0, False
+        for z in dw:
+            u, pi = _affine_control(x, d)
+            for i in range(m):
+                ut = u[0] * theta[i][0]
+                for l in range(1, d):
+                    ut = ut + u[l] * theta[i][l]
+                term = w[i] * (r[i] * x + ut)
+                drift = term if i == 0 else drift + term
+            for j in range(d):
+                for i in range(m):
+                    us = u[0] * vol[i][0][j]
+                    for l in range(1, d):
+                        us = us + u[l] * vol[i][l][j]
+                    s_j = w[i] * us if i == 0 else s_j + w[i] * us
+                noise = s_j * z[j] if j == 0 else noise + s_j * z[j]
+            x = x + (drift - k * pi * pi * x) * h2 + noise * math.sqrt(h2)
+            out = out or x < lo or x > hi
+        terminal.append(x)
+        hits += out
+    return summarize(np.array(terminal), model, hits / n_paths)
+
+
+@pytest.mark.parametrize("m, d", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_sde_matches_scalar_reference(m, d):
+    # the SDE's wealth step sums regimes, then positions, in index order;
+    # with the belief frozen, a float loop over paths must agree bit for bit
+    mdl = _frozen_belief_model(m, d)
+    phi0 = np.array([0.25, 0.5][: m - 1])
+
+    def policy(t, x, phi):
+        u, pi = _affine_control(x, d)
+        return np.stack(u, axis=1), pi
+
+    kw = dict(n_paths=60, seed=17, h2=0.001)
+    bounds = (0.95, 1.05)
+    mc = simulate_sde(mdl, policy, 0.0, 1.0, phi0, x_bounds=bounds,
+                      batch_size=25, **kw)
+    ref = _scalar_sde(mdl, 1.0, phi0, lo=bounds[0], hi=bounds[1], **kw)
+    assert mc == ref
+    assert mc.var_XT > 0.0 and 0.0 < mc.boundary_hits < 1.0
 
 
 def test_chain_frozen_stays_put():
@@ -304,6 +383,52 @@ def test_chain_summary_pins(pin_fields):
         "boundary_hits": 0.162}
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_chain_outcome_zero_is_the_stay(m):
+    # simulate_chain moves only the paths past outcome 0's threshold, so
+    # outcome 0 must lead every node back to itself
+    lat = build_grid(GridSpec(h1=0.2, h2=0.001, x_min=0.0, x_max=4.0,
+                              n_steps=1), m)
+    np.testing.assert_array_equal(lat.neighbors[:, 0],
+                                  np.arange(lat.n_nodes))
+
+
+# Pins recorded before the chain began to move only the paths that leave
+# their node.
+
+def test_chain_high_motion_pin():
+    # h2 near the step-size limit of u=2, pi=2: the stay weight is 0.16 at
+    # the start node and below one half at most nodes
+    mdl = example_model(T=0.36)
+    spec = GridSpec(h1=0.2, h2=0.036, x_min=0.0, x_max=4.0, n_steps=10)
+    cg = ControlGrid.regular(d=1, u_max=2.0, du=0.5, pi_min=mdl.attention_min,
+                             pi_max=mdl.attention_max, n_pi=5)
+    fields = solve(mdl, spec, cg)
+    fields.policy[:] = 24
+    start = int(fields.lat.index_of(10, np.array([0])))
+    stay = StencilCache(mdl, fields.lat, cg).batch(0.0).probs[24, 0]
+    assert stay[start] < 0.2 and np.median(stay) < 0.5
+    mc = simulate_chain(mdl, fields, start, 4000, seed=41, batch_size=1500)
+    assert mc.to_dict() == {
+        "n_paths": 4000, "mean_XT": 1.7533500000000002,
+        "var_XT": 0.17057377750000002, "objective": -0.2677637225,
+        "se_mean": 0.006530194819069336, "se_var": 0.0038001449978100174,
+        "boundary_hits": 0.0}
+
+
+def test_chain_boundary_start_pin(pin_fields):
+    # a start at x = x_min and phi = 1: every path has hit the boundary
+    mdl, spec, fields = pin_fields
+    fields.policy[:] = 24
+    corner = int(fields.lat.index_of(0, np.array([5])))
+    mc = simulate_chain(mdl, fields, corner, 2000, seed=43)
+    assert mc.to_dict() == {
+        "n_paths": 2000, "mean_XT": 0.0234,
+        "var_XT": 0.004572440000000002, "objective": -0.001277559999999998,
+        "se_mean": 0.0015120251320662635, "se_var": 0.00031072042883080605,
+        "boundary_hits": 1.0}
+
+
 def test_sde_summary_pins(pin_fields):
     mdl, spec, fields = pin_fields
     # a control that varies with the slice and the node
@@ -330,13 +455,16 @@ def test_sde_summary_pins(pin_fields):
         "var_XT": 0.0072638734991138775, "objective": -0.24468485365876588,
         "se_mean": 0.004261418044241223, "se_var": 0.0005227169324438831,
         "boundary_hits": 0.0}
+    # re-recorded when the wealth step began to sum regimes in index order:
+    # einsum added three regimes as (p0 + p2) + p1, which moved var_XT,
+    # se_mean and se_var by one ulp
     mc = simulate_sde(_three_regimes(T=0.05), ConstantPolicy([1.0], 1.5), 0.0,
                       2.0, np.array([0.3, 0.5]), 300, seed=15, h2=0.001,
                       x_bounds=(0.0, 4.0))
     assert mc.to_dict() == {
         "n_paths": 300, "mean_XT": 1.9808189357160264,
-        "var_XT": 0.004441438687634755, "objective": -0.49076329524137186,
-        "se_mean": 0.0038477000435908704, "se_var": 0.00034851139994691307,
+        "var_XT": 0.0044414386876347545, "objective": -0.49076329524137186,
+        "se_mean": 0.00384770004359087, "se_var": 0.000348511399946913,
         "boundary_hits": 0.0}
 
 
