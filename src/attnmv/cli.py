@@ -337,6 +337,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             "cfl_max_nonstay_mass": fields.cfl_max_mass,
             "cfl_margin": 1.0 - fields.cfl_max_mass,
             "stay_mass_residual": fields.stay_residual,
+            "masked_pairs": fields.masked_pairs,
             "boundary_clamped_mass_max": float(fields.clamped_mass.max()),
             "boundary_clamped_mass_mean": float(fields.clamped_mass.mean()),
             "V_eval": float(fields.V[n_eval][node]),

@@ -32,6 +32,13 @@ a batch is bit-identical to a build of control ``c`` alone; ``_validate``
 is the one check that clips float dust, closes the self mass and masks or
 rejects invalid laws.  There is no single-node builder: the law of one
 (node, control) pair is column ``n`` of row ``c`` of ``build_stencil_batch``.
+
+Summation order: the builder, the validator and the moment sweep work on
+(n_c, n_nodes) planes, and every sum over regimes, assets, outcomes or
+belief pairs ``(i, k)`` (row-major) adds those planes in index order
+(``_index_sum``).  No step reduces over a short trailing axis.  Index
+order is also numpy's order for a sum over a trailing axis of fewer than 8
+entries, so a plane sum has the bits of that array reduction.
 """
 
 from __future__ import annotations
@@ -50,15 +57,25 @@ from .market import FloatArray, RegimeModel
 _NEG_TOL = 1e-13
 
 
+def _index_sum(planes):
+    """Sum of equal-shape arrays, added one after another in index order."""
+    planes = iter(planes)
+    total = np.array(next(planes), dtype=np.float64)
+    for p in planes:
+        total += p
+    return total
+
+
 def _coefficients(model: RegimeModel, lat: Lattice, t: float, u_arr, pi_arr):
     """Raw probability tables of every control, plus the consistency targets.
 
     ``u_arr`` (n_c, d) and ``pi_arr`` (n_c,) give ``probs`` (n_c, n_out,
     n_nodes), ``bbar`` and ``ssT`` (n_c, n_nodes), ``qtil`` (n_nodes, m-1)
-    and ``a`` (n_c, n_nodes, m-1, m-1).  Each control's entries are the
-    same floating-point operations, in the same order, as a build for that
-    control alone.  No validation is performed here; callers decide between
-    fail-fast and masking.
+    and the belief noise loadings ``v`` (m-1, n_c, n_nodes), so that the
+    belief covariance is ``a_ik = v[i] * v[k]``.  Each control's entries are
+    the same floating-point operations, in the same order, as a build for
+    that control alone.  No validation is performed here; callers decide
+    between fail-fast and masking.
     """
     h1, h2 = lat.spec.h1, lat.spec.h2
     mm = model.m - 1
@@ -69,80 +86,89 @@ def _coefficients(model: RegimeModel, lat: Lattice, t: float, u_arr, pi_arr):
     full = full_belief(lat.phi, m=model.m, validate=False)       # (n, m)
     zbar = full @ model.signal_levels
     r = model.riskfree_at(t)
-    th_u = (model.theta_at(t) @ u_arr[:, :, None])[:, None, :, 0]   # (c, 1, m)
-    per_regime = (r[None, :] * lat.x[:, None]) + th_u
-    bbar = (full * per_regime).sum(axis=2) \
+    th_u = (model.theta_at(t) @ u_arr[:, :, None])[:, :, 0]      # (c, m)
+    bbar = _index_sum(full[:, i] * (r[i] * lat.x + th_u[:, i, None])
+                      for i in range(model.m)) \
         - (model.cost_coeff * pi_arr * pi_arr)[:, None] * lat.x
     usig = np.einsum("cl,mlj->cmj", u_arr, model.vol_at(t))
     sbar = full @ usig                                           # (c, n, d)
-    ssT = (sbar * sbar).sum(axis=2)
+    ssT = _index_sum(sbar[:, :, j] * sbar[:, :, j]
+                     for j in range(sbar.shape[2]))
     qtil = (full @ model.generator)[:, :mm]                      # (n, mm)
 
-    v = (np.sqrt(pi_arr)[:, None, None] * lat.phi) \
-        * (model.signal_levels[:mm][None, :] - zbar[:, None])
-    a = v[..., :, None] * v[..., None, :]                        # (c, n, mm, mm)
-    absrow = np.abs(v) * np.abs(v).sum(axis=2, keepdims=True)    # sum_k |a_ik|
-    diag = np.einsum("cnii->cni", a) - 0.5 * absrow              # a_ii/2 - off/2
+    sqrt_pi = np.sqrt(pi_arr)[:, None]
+    v = np.stack([(sqrt_pi * lat.phi[:, i])
+                  * (model.signal_levels[i] - zbar) for i in range(mm)])
+    absv = np.abs(v)
+    abs_total = _index_sum(absv)                                 # sum_k |v_k|
 
-    probs = np.zeros((len(pi_arr), lat.n_out, lat.n_nodes))
+    probs = np.empty((len(pi_arr), lat.n_out, lat.n_nodes))
     probs[:, 1] = (ssT + 2.0 * np.maximum(bbar, 0.0) * h1) * (0.5 * c)
     probs[:, 2] = (ssT + 2.0 * np.maximum(-bbar, 0.0) * h1) * (0.5 * c)
     for i in range(mm):
-        probs[:, 3 + 2 * i] = (diag[:, :, i] + np.maximum(qtil[:, i], 0.0) * h1) * c
-        probs[:, 4 + 2 * i] = (diag[:, :, i] + np.maximum(-qtil[:, i], 0.0) * h1) * c
+        # a_ii/2 - sum_{k != i} |a_ik|/2, as a_ii - |v_i| sum_k |v_k| / 2
+        diag = v[i] * v[i] - 0.5 * (absv[i] * abs_total)
+        probs[:, 3 + 2 * i] = (diag + np.maximum(qtil[:, i], 0.0) * h1) * c
+        probs[:, 4 + 2 * i] = (diag + np.maximum(-qtil[:, i], 0.0) * h1) * c
     o = 3 + 2 * mm
     for i in range(mm):
         for k in range(mm):
             if i == k:
                 continue
-            ap = np.maximum(a[:, :, i, k], 0.0) * (0.25 * c)
-            am = np.maximum(-a[:, :, i, k], 0.0) * (0.25 * c)
+            a_ik = v[i] * v[k]
+            ap = np.maximum(a_ik, 0.0) * (0.25 * c)
+            am = np.maximum(-a_ik, 0.0) * (0.25 * c)
             probs[:, o] = ap
             probs[:, o + 1] = ap
             probs[:, o + 2] = am
             probs[:, o + 3] = am
             o += 4
-    probs[:, 0] = 1.0 - probs[:, 1:].sum(axis=1)
-    return probs, bbar, qtil, ssT, a
+    probs[:, 0] = 1.0 - _index_sum(probs[:, j] for j in range(1, lat.n_out))
+    return probs, bbar, qtil, ssT, v
 
 
-def _stay_closed_form(bbar, qtil, ssT, a, h1, h2):
+def _stay_closed_form(bbar, qtil, ssT, v, h1, h2):
     """Self-transition mass from its closed-form expression (diagnostic).
 
     Algebraically identical to the complement used in the construction;
     the residual against it is reported so any non-closure would surface.
     """
-    quad = np.abs(a).sum(axis=(2, 3)) - 3.0 * np.einsum("cnii->cn", a)
+    mm = len(v)
+    absv = np.abs(v)
+    quad = _index_sum(absv[i] * absv[k] for i in range(mm) for k in range(mm)) \
+        - 3.0 * _index_sum(v[i] * v[i] for i in range(mm))
+    abs_q = _index_sum(np.abs(qtil[:, i]) for i in range(mm))
     return (h2 / (2 * h1 * h1)) * quad \
-        - ((np.abs(bbar) + np.abs(qtil).sum(axis=1)) * h1 + ssT) * h2 / (h1 * h1) \
+        - ((np.abs(bbar) + abs_q) * h1 + ssT) * h2 / (h1 * h1) \
         + 1.0
 
 
-def _validate(probs, a, *, strict: bool):
+def _validate(probs, v, *, strict: bool):
     """Clip float dust, close the self mass and mark or reject invalid laws.
 
-    ``probs`` (n_c, n_out, n) is updated in place; ``a`` (n_c, n, m-1, m-1)
-    sets each control's tolerance for negative weights.  Returns ``(valid,
+    ``probs`` (n_c, n_out, n) is updated in place; ``v`` (m-1, n_c, n) sets
+    each control's tolerance for negative weights.  Returns ``(valid,
     nonstay)``, both (n_c, n).  With ``strict`` the first invalid control
     raises, its body weights checked before its self mass, as a loop over
     controls would.
     """
-    scale = np.abs(a).max(axis=(1, 2, 3), initial=0.0)
-    tol = _NEG_TOL * np.maximum(1.0, scale)
+    # max |a_ik| over nodes and pairs is the square of the largest |v_i|
+    # (rounding is monotone, so the two agree bit for bit)
+    vmax = np.abs(v).max(axis=(0, 2), initial=0.0)
+    neg_tol = -(_NEG_TOL * np.maximum(1.0, vmax * vmax))[:, None]
     body = probs[:, 1:]
-    bad = body < -tol[:, None, None]
+    bad = body[:, 0] < neg_tol
+    for o in range(1, body.shape[1]):
+        bad |= body[:, o] < neg_tol
     clipped = np.clip(body, 0.0, None)
-    # outcome by outcome: a lone column must sum in the order a full table
-    # does, and numpy sums a lone column of 8 or more pairwise
-    nonstay = clipped[:, 0].copy()
-    for o in range(1, clipped.shape[1]):
-        nonstay += clipped[:, o]
+    nonstay = _index_sum(clipped[:, o] for o in range(clipped.shape[1]))
     stay = 1.0 - nonstay
-    valid = ~(bad.any(axis=1) | (stay < 0.0))
+    valid = ~(bad | (stay < 0.0))
     if strict and not valid.all():
         ci = int(np.argmin(valid.all(axis=1)))
         if bad[ci].any():
-            o, n = np.unravel_index(np.argmax(bad[ci]), bad[ci].shape)
+            bad_ci = body[ci] < neg_tol[ci]
+            o, n = np.unravel_index(np.argmax(bad_ci), bad_ci.shape)
             raise SchemeError(
                 f"negative transition weight at node {n}, "
                 f"outcome {o + 1}, control {ci} ({body[ci, o, n]:.3e}); "
@@ -185,9 +211,9 @@ def build_stencil_batch(model: RegimeModel, lat: Lattice, t: float,
     With ``strict`` any invalid entry raises; otherwise invalid
     (control, node) pairs are only masked out in ``valid``.
     """
-    probs, bbar, qtil, ssT, a = _coefficients(model, lat, t, u_arr, pi_arr)
-    valid, nonstay = _validate(probs, a, strict=strict)
-    res = _stay_closed_form(bbar, qtil, ssT, a, lat.spec.h1, lat.spec.h2) \
+    probs, bbar, qtil, ssT, v = _coefficients(model, lat, t, u_arr, pi_arr)
+    valid, nonstay = _validate(probs, v, strict=strict)
+    res = _stay_closed_form(bbar, qtil, ssT, v, lat.spec.h1, lat.spec.h2) \
         - probs[:, 0]
     return StencilBatch(probs=probs, valid=valid,
                         max_mass=float(nonstay.max(initial=0.0)),
@@ -205,22 +231,35 @@ class ConsistencyReport:
 
 def _moment_deviations(model: RegimeModel, lat: Lattice, t: float,
                        u_arr: FloatArray, pi_arr: FloatArray):
-    """Moment deviations of every control, each of shape (n_c, n_nodes)."""
-    h2 = lat.spec.h2
-    probs, bbar, qtil, ssT, a = _coefficients(model, lat, t, u_arr, pi_arr)
-    disp = lat.displacements                                     # (n_out, 1+mm)
-    mean = np.einsum("con,od->cnd", probs, disp)                 # (c, n, 1+mm)
-    target_mean = np.concatenate(
-        [bbar[:, :, None], np.broadcast_to(qtil, bbar.shape + qtil.shape[1:])],
-        axis=2) * h2
-    mean_dev = np.abs(mean - target_mean).max(axis=2)
+    """Moment deviations of every control, each of shape (n_c, n_nodes).
 
-    second = np.einsum("con,od,oe->cnde", probs, disp, disp)
-    second -= mean[:, :, :, None] * mean[:, :, None, :]
-    target = np.zeros_like(second)
-    target[:, :, 0, 0] = ssT * h2
-    target[:, :, 1:, 1:] = a * h2
-    second_dev = np.abs(second - target).max(axis=(2, 3))
+    One pass over the outcomes forms ``p d_i`` for each coordinate ``i`` an
+    outcome moves; the moments add ``p d_i`` and ``(p d_i) d_j`` in outcome
+    order.  Terms of a coordinate an outcome leaves fixed are exact zeros
+    and are skipped.  Every displacement coordinate is 0 or +-h1, so
+    ``(p d_i) d_j = (p d_j) d_i`` and the upper triangle of the second
+    moment holds every deviation.
+    """
+    h2 = lat.spec.h2
+    probs, bbar, qtil, ssT, v = _coefficients(model, lat, t, u_arr, pi_arr)
+    disp = lat.displacements                                     # (n_out, 1+mm)
+    dims = range(disp.shape[1])
+    drift = [bbar] + [qtil[:, i] for i in range(len(v))]
+    moved = [[(probs[:, o] * disp[o, i], disp[o])
+              for o in range(lat.n_out) if disp[o, i] != 0.0] for i in dims]
+    mean = [_index_sum(pd for pd, _ in moved[i]) for i in dims]
+    mean_dev = np.zeros_like(bbar)
+    second_dev = np.zeros_like(bbar)
+    for i in dims:
+        np.maximum(mean_dev, np.abs(mean[i] - drift[i] * h2), out=mean_dev)
+        for j in dims[i:]:
+            terms = [pd * d[j] for pd, d in moved[i] if d[j] != 0.0]
+            dev = (_index_sum(terms) if terms else 0.0) - mean[i] * mean[j]
+            if i == j == 0:
+                dev -= ssT * h2
+            elif i > 0:
+                dev -= (v[i - 1] * v[j - 1]) * h2
+            np.maximum(second_dev, np.abs(dev), out=second_dev)
     return mean_dev, second_dev
 
 

@@ -99,6 +99,7 @@ class SolutionFields:
     policy: np.ndarray        # (N, n_nodes) int32
     cfl_max_mass: float = 0.0
     stay_residual: float = 0.0
+    masked_pairs: int = 0     # invalid (control, node) pairs, all epochs
     clamped_mass: FloatArray = field(default_factory=lambda: np.zeros(0))
 
     def time_of(self, n: int) -> float:
@@ -240,6 +241,8 @@ def solve(model: RegimeModel, spec: GridSpec, grid: ControlGrid,
             log.info("slice %d/%d done", N - n, N)
     fields.cfl_max_mass = max(b.max_mass for b in cache.batches.values())
     fields.stay_residual = max(b.stay_residual for b in cache.batches.values())
+    fields.masked_pairs = sum(int((~b.valid).sum())
+                              for b in cache.batches.values())
     return fields
 
 

@@ -100,6 +100,14 @@ def test_solve_artifacts_and_exit(tmp_path):
     assert len(data) == 126
 
 
+def test_solve_default_config_masks_no_pair(tmp_path):
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(DEFAULT_CONFIG),
+                 "--output-dir", str(out)]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["derived"]["masked_pairs"] == 0
+
+
 def test_solve_frozen_value_equals_wealth(tmp_path):
     cfgp = short_config(tmp_path)
     with open(cfgp) as fh:

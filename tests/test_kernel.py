@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import attnmv.kernel
 from attnmv.errors import SchemeError
 from attnmv.kernel import (build_stencil_batch, consistency_sweep,
                            _coefficients, _moment_deviations)
@@ -41,9 +42,9 @@ def scalar_stencil_2regime(mdl, h1, h2, x, phi, u, pi, t=0.0):
 
 def one_control(mdl, lat, u, pi, t=0.0):
     """Raw tables of the single control ``(u, pi)``: row 0 of each output."""
-    probs, bbar, qtil, ssT, a = _coefficients(
+    probs, bbar, qtil, ssT, v = _coefficients(
         mdl, lat, t, np.array([u], dtype=float), np.array([pi], dtype=float))
-    return probs[0], bbar[0], qtil, ssT[0], a[0]
+    return probs[0], bbar[0], qtil, ssT[0], v[:, 0]
 
 
 def law(mdl, lat, node, u, pi, t=0.0):
@@ -245,9 +246,10 @@ def test_three_regime_raw_closure_and_moments():
     mdl = three_regime_model()
     spec = GridSpec(h1=0.2, h2=0.001, x_min=0.0, x_max=4.0, n_steps=2000)
     lat = build_grid(spec, 3)
-    probs, bbar, qtil, ssT, a = _coefficients(mdl, lat, 0.0,
+    probs, bbar, qtil, ssT, v = _coefficients(mdl, lat, 0.0,
                                               np.array([[1.0]]), np.array([2.0]))
-    probs, bbar, ssT, a = probs[0], bbar[0], ssT[0], a[0]
+    probs, bbar, ssT, v = probs[0], bbar[0], ssT[0], v[:, 0]
+    a = v.T[:, :, None] * v.T[:, None, :]                  # (n, mm, mm)
     np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-14)
     mean = np.einsum("on,od->nd", probs, lat.displacements)
     target = np.concatenate([bbar[:, None], qtil], axis=1) * spec.h2
@@ -303,6 +305,155 @@ def test_batch_and_sweep_pins(m, pins, default_spec, default_controls):
     assert (_sha(batch.probs), _sha(batch.valid),
             batch.max_mass, batch.stay_residual,
             rep.mean_dev, rep.second_dev) == pins
+
+
+def piecewise_model(m):
+    """Piecewise-constant coefficients: 12 epochs (m=2) or 4 epochs (m=3).
+
+    The m=3 market has informative signals, so some laws are masked.
+    """
+    if m == 2:
+        times = [0.125 * i for i in range(12)]
+        return example_model(
+            riskfree={"times": times,
+                      "values": [[0.03 + 0.002 * i, 0.025 - 0.001 * i]
+                                 for i in range(12)]},
+            drift={"times": times,
+                   "values": [[[0.08 - 0.003 * i], [0.035 + 0.002 * i]]
+                              for i in range(12)]},
+            vol={"times": times[::3],
+                 "values": [[[[0.2 + 0.01 * i]], [[0.35 - 0.02 * i]]]
+                            for i in range(0, 12, 3)]})
+    times = [0.0, 0.4, 0.9, 1.5]
+    return three_regime_model(
+        riskfree={"times": times,
+                  "values": [[0.03, 0.02, 0.01], [0.04, 0.03, 0.0],
+                             [0.02, 0.02, 0.02], [0.05, 0.01, 0.03]]},
+        drift={"times": times,
+               "values": [[[0.08], [0.05], [0.02]], [[0.09], [0.04], [-0.01]],
+                          [[0.06], [0.06], [0.03]], [[0.1], [0.02], [0.0]]]},
+        vol={"times": times[:2],
+             "values": [[[[0.2]], [[0.3]], [[0.4]]],
+                        [[[0.25]], [[0.15]], [[0.5]]]]})
+
+
+# SHA-256 per epoch of the batch's probs and valid bytes followed by
+# (max_mass, stay_residual, mean_dev, second_dev) as float64 bytes, recorded
+# before the builder and the sweep stopped reducing over short trailing axes
+EPOCH_PINS = {
+    2: ["50d32588745dad6448222e44bc388abbb653f4b602e215fa49db28bf75329c61",
+        "cd7bde56024b67f096f9fdf2c3744e4dc05538903ed72b27a537ce8b4c078665",
+        "d71b5f07446da6f1f4755889428b70a6d9d055a80edf71428fd796e3ef25c92b",
+        "5036997305742d31ef95807f7fde6006204b11f833c09f94a4072286e42a9550",
+        "355af626394d0fa655e644bbee72e6bce0736ccd09c0891613f27bc087532ff9",
+        "6430f6397bc423e4758530335d520935f7f6cd637321e6b2552b73d749237426",
+        "b3ed4c8e45b4614eca9888b90d3412baf32e5fc836bd84d59fdbaa2591ca5911",
+        "5e887a767a21b681ccdd9dab094035700b4dcfc72700081119536f32740eae55",
+        "62237e5b3d3953b40e1302666790ed3521bf6266a1f9d1151d7010cb58a1de5c",
+        "643bce20087e240205ff9e0d0476360e7eb89c41b97858ddfc2e7d49300735c9",
+        "5ce25133c82e2ad8fca5b5d753e9fcd3cd057d24a6e4240858937f172632803c",
+        "c9ac992ec3c187e6cf32a87464e58a7167c678d545c2b459de6ca7be16569776"],
+    3: ["a645cc8491474029b2f90370585a5b62e480bfa196d1709a01bf6276d38883cc",
+        "d49e281c98fa8b487561f3190b191c980de2b6ad717a016ee3ff58b9b9ede306",
+        "5a575876862244f8c632c5669e765a4d4120982cef3084e0c3c20b97f6a21830",
+        "ea2273958fd5e661e15f688e15e0b94f8763747710d6ec3312f5e7cfdd0f83f1"],
+}
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_multi_epoch_batch_and_sweep_pins(m, default_spec, default_controls):
+    mdl = piecewise_model(m)
+    lat = build_grid(default_spec, m)
+    u_arr, pi_arr = default_controls.enumerate()
+    digests, masked = [], 0
+    for t in mdl.time_breaks:
+        batch = build_stencil_batch(mdl, lat, float(t), u_arr, pi_arr,
+                                    strict=(m == 2))
+        rep = consistency_sweep(mdl, lat, float(t), u_arr, pi_arr)
+        scalars = np.array([batch.max_mass, batch.stay_residual,
+                            rep.mean_dev, rep.second_dev])
+        digests.append(hashlib.sha256(
+            batch.probs.tobytes() + batch.valid.tobytes()
+            + scalars.tobytes()).hexdigest())
+        masked += int((~batch.valid).sum())
+    assert digests == EPOCH_PINS[m]
+    assert (masked > 0) == (m == 3)
+
+
+def reference_deviations(mdl, lat, t, u_arr, pi_arr):
+    """Moment deviations by a loop over (control, node) and the catalog.
+
+    Shares only the raw coefficients with the kernel: the moments are
+    Python sums over ``lat.displacements``.
+    """
+    probs, bbar, qtil, ssT, v = attnmv.kernel._coefficients(
+        mdl, lat, t, u_arr, pi_arr)
+    h2 = lat.spec.h2
+    disp = lat.displacements.tolist()
+    n_c, n_out, n_nodes = probs.shape
+    dims = range(len(disp[0]))
+    mean_dev = np.zeros((n_c, n_nodes))
+    second_dev = np.zeros((n_c, n_nodes))
+    for c in range(n_c):
+        for n in range(n_nodes):
+            p = probs[c, :, n].tolist()
+            drift = [bbar[c, n]] + list(qtil[n])
+            noise = [0.0] + list(v[:, c, n])
+            mean = [sum(p[o] * disp[o][i] for o in range(n_out)) for i in dims]
+            mean_dev[c, n] = max(abs(mean[i] - drift[i] * h2) for i in dims)
+            second_dev[c, n] = max(
+                abs(sum(p[o] * disp[o][i] * disp[o][j] for o in range(n_out))
+                    - mean[i] * mean[j]
+                    - (ssT[c, n] if i == j == 0 else noise[i] * noise[j]) * h2)
+                for i in dims for j in dims)
+    return mean_dev, second_dev
+
+
+SMALL = GridSpec(h1=0.25, h2=0.001, x_min=0.0, x_max=2.0, n_steps=10)
+SMALL_U = np.array([[0.0], [0.0], [1.0], [1.0], [2.5], [2.5]])
+SMALL_PI = np.array([0.0, 1.5, 0.3, 2.0, 0.001, 1.0])
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_sweep_matches_reference_loop(m):
+    mdl = piecewise_model(m)
+    lat = build_grid(SMALL, m)
+    for t in mdl.time_breaks[:2]:
+        mean_dev, second_dev = _moment_deviations(mdl, lat, float(t),
+                                                  SMALL_U, SMALL_PI)
+        ref_mean, ref_second = reference_deviations(mdl, lat, float(t),
+                                                    SMALL_U, SMALL_PI)
+        np.testing.assert_allclose(mean_dev, ref_mean, rtol=0, atol=1e-17)
+        np.testing.assert_allclose(second_dev, ref_second, rtol=1e-12,
+                                   atol=1e-17)
+        rep = consistency_sweep(mdl, lat, float(t), SMALL_U, SMALL_PI)
+        assert rep.mean_dev <= 1e-12
+        assert rep.second_dev == pytest.approx(ref_second.max(), rel=1e-12)
+        assert rep.second_dev > 1e-5          # the O(h1 h2) belief terms
+
+
+@pytest.mark.parametrize("m, src, dst", [(2, 1, 2), (2, 3, 4), (3, 5, 6),
+                                         (3, 7, 9)])
+def test_sweep_sees_weight_moved_between_outcomes(m, src, dst, monkeypatch):
+    # a law that keeps its mass but moves 1e-6 from one outcome to another
+    # has a one-step mean off by 2e-6 h1 along some coordinate
+    raw = attnmv.kernel._coefficients
+
+    def moved(*args):
+        probs, *rest = raw(*args)
+        probs[:, src] -= 1e-6
+        probs[:, dst] += 1e-6
+        return (probs, *rest)
+
+    monkeypatch.setattr(attnmv.kernel, "_coefficients", moved)
+    mdl = piecewise_model(m)
+    lat = build_grid(SMALL, m)
+    rep = consistency_sweep(mdl, lat, 0.0, SMALL_U, SMALL_PI)
+    assert rep.mean_dev > 1e-12
+    assert rep.mean_dev == pytest.approx(2e-6 * SMALL.h1, rel=1e-6)
+    mean_dev, _ = _moment_deviations(mdl, lat, 0.0, SMALL_U, SMALL_PI)
+    ref_mean, _ = reference_deviations(mdl, lat, 0.0, SMALL_U, SMALL_PI)
+    np.testing.assert_allclose(mean_dev, ref_mean, rtol=1e-12, atol=1e-17)
 
 
 @pytest.mark.parametrize("m, h2, u_max, pi_levels, fields, message", [

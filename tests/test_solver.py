@@ -370,6 +370,9 @@ def test_masked_controls_solve_pin():
     fields = solve(mdl, spec, cg)
     valid = StencilCache(mdl, fields.lat, cg).batch(0.0).valid
     assert 0 < valid.sum() < valid.size
+    # one epoch; the four controls with pi > 0 are invalid at the beliefs
+    # (0.2, 0.2), (0.2, 0.4), (0.4, 0.4) and (0.6, 0.2) at all 21 wealths
+    assert fields.masked_pairs == 4 * 4 * 21 == (~valid).sum()
     digest = hashlib.sha256()
     for a in (fields.V, fields.g, fields.policy):
         digest.update(np.ascontiguousarray(a).tobytes())
