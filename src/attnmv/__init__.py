@@ -12,8 +12,6 @@ simulation of both the chain and the filtered dynamics.
 __version__ = "0.1.0"
 
 from .errors import ConfigError, DomainError, SchemeError
-from .filtering import (filter_diffusion, filter_drift, filter_step,
-                        full_belief, zeta_bar)
 from .lattice import GridSpec, Lattice, build_grid
 from .market import RegimeModel, example_model, validate_model
 from .oracle import (ConstantPolicy, FeedbackPolicy, McSummary,
@@ -23,8 +21,6 @@ from .solver import (ControlGrid, SolutionFields, ratio_policy, solve,
 
 __all__ = [
     "ConfigError", "DomainError", "SchemeError",
-    "filter_diffusion", "filter_drift", "filter_step", "full_belief",
-    "zeta_bar",
     "GridSpec", "Lattice", "build_grid",
     "RegimeModel", "example_model", "validate_model",
     "ConstantPolicy", "FeedbackPolicy", "McSummary", "marginal_check",

@@ -5,9 +5,13 @@ first ``m - 1`` regimes; the last coordinate is implied, ``1 - sum(phi)``.
 Attention ``pi`` scales the informativeness of the observation: the belief
 diffusion is ``sqrt(pi) * phi_i * (zeta_i - zeta_bar)`` per coordinate while
 the drift is the generator-transpose action, independent of ``pi``.
+``filter_step`` is the one place that computes either.
 
-All functions accept a single belief of shape ``(m-1,)`` or a batch of
-shape ``(..., m-1)`` and broadcast over the leading axes.
+Beliefs from outside are checked once with ``check_belief``; a step does
+not re-check its input, because ``project_simplex`` puts every step's
+output back on the simplex.  All functions accept a single belief of shape
+``(m-1,)`` or a batch of shape ``(..., m-1)`` and broadcast over the
+leading axes.
 """
 
 from __future__ import annotations
@@ -22,53 +26,23 @@ _ATOL = 1e-12
 
 
 def check_belief(phi: FloatArray, m: int) -> None:
-    """Raise DomainError unless ``phi`` lies in the belief simplex."""
+    """Raise DomainError unless ``phi`` is a finite point of the belief simplex."""
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape[-1] != m - 1:
         raise DomainError(f"belief must have {m - 1} coordinates, got {phi.shape[-1]}")
+    if not np.isfinite(phi).all():
+        raise DomainError("belief has a non-finite coordinate")
     if np.any(phi < -_ATOL):
         raise DomainError("belief has a negative coordinate")
     if np.any(phi.sum(axis=-1) > 1.0 + _ATOL):
         raise DomainError("belief coordinates sum to more than 1")
 
 
-def full_belief(phi: FloatArray, *, validate: bool = True, m: int | None = None) -> FloatArray:
+def full_belief(phi: FloatArray) -> FloatArray:
     """Append the implied last coordinate; the result sums to exactly 1."""
     phi = np.asarray(phi, dtype=np.float64)
-    if validate:
-        check_belief(phi, (m if m is not None else phi.shape[-1] + 1))
     last = 1.0 - phi.sum(axis=-1, keepdims=True)
     return np.concatenate([phi, last], axis=-1)
-
-
-def zeta_bar(model: RegimeModel, phi: FloatArray) -> FloatArray | float:
-    """Belief-weighted mean signal level."""
-    full = full_belief(phi, m=model.m)
-    out = full @ model.signal_levels
-    return float(out) if out.ndim == 0 else out
-
-
-def filter_drift(model: RegimeModel, phi: FloatArray) -> FloatArray:
-    """Generator-transpose action on the full belief, first m-1 coordinates."""
-    full = full_belief(phi, m=model.m)
-    return (full @ model.generator)[..., : model.m - 1]
-
-
-def filter_diffusion(model: RegimeModel, phi: FloatArray, pi) -> FloatArray:
-    """Per-coordinate noise loading sqrt(pi) * phi_i * (zeta_i - zeta_bar)."""
-    phi = np.asarray(phi, dtype=np.float64)
-    return _loading(model, phi, full_belief(phi, m=model.m), pi)
-
-
-def _loading(model: RegimeModel, phi: FloatArray, full: FloatArray, pi):
-    pi_arr = np.asarray(pi, dtype=np.float64)
-    if np.any(pi_arr < model.attention_min - _ATOL) or \
-            np.any(pi_arr > model.attention_max + _ATOL):
-        raise DomainError(
-            f"attention outside [{model.attention_min}, {model.attention_max}]")
-    zbar = full @ model.signal_levels
-    head = model.signal_levels[: model.m - 1]
-    return np.sqrt(pi_arr)[..., None] * phi * (head - zbar[..., None])
 
 
 def project_simplex(phi: FloatArray) -> FloatArray:
@@ -88,13 +62,21 @@ def filter_step(model: RegimeModel, phi: FloatArray, pi, dw, h: float) -> FloatA
     """One Euler step of the belief dynamics, projected back onto the simplex.
 
     ``dw`` is a Gaussian increment with variance ``h`` supplied by the
-    caller (so wealth and belief noise can be coupled externally).
+    caller (so wealth and belief noise can be coupled externally).  The
+    caller checks ``phi`` and ``h > 0`` once, before the first step;
+    ``pi`` comes anew from the policy at every step, so its range is
+    checked here.
     """
-    if not h > 0:
-        raise DomainError("step size h must be > 0")
+    pi_arr = np.asarray(pi, dtype=np.float64)
+    if np.any(pi_arr < model.attention_min - _ATOL) or \
+            np.any(pi_arr > model.attention_max + _ATOL):
+        raise DomainError(
+            f"attention outside [{model.attention_min}, {model.attention_max}]")
     phi = np.asarray(phi, dtype=np.float64)
-    full = full_belief(phi, m=model.m)          # validated once per step
-    diff = _loading(model, phi, full, pi)
+    full = full_belief(phi)
+    zbar = full @ model.signal_levels
+    head = model.signal_levels[: model.m - 1]
+    diff = np.sqrt(pi_arr)[..., None] * phi * (head - zbar[..., None])
     drift = (full @ model.generator)[..., : model.m - 1]
     proposed = phi + drift * h + diff * np.asarray(dw, dtype=np.float64)[..., None]
     return project_simplex(proposed)

@@ -83,7 +83,7 @@ def _coefficients(model: RegimeModel, lat: Lattice, t: float, u_arr, pi_arr):
     u_arr = np.asarray(u_arr, dtype=np.float64)
     pi_arr = np.asarray(pi_arr, dtype=np.float64)
 
-    full = full_belief(lat.phi, m=model.m, validate=False)       # (n, m)
+    full = full_belief(lat.phi)                                  # (n, m)
     zbar = full @ model.signal_levels
     r = model.riskfree_at(t)
     th_u = (model.theta_at(t) @ u_arr[:, :, None])[:, :, 0]      # (c, m)
@@ -160,8 +160,8 @@ def _validate(probs, v, *, strict: bool):
     bad = body[:, 0] < neg_tol
     for o in range(1, body.shape[1]):
         bad |= body[:, o] < neg_tol
-    clipped = np.clip(body, 0.0, None)
-    nonstay = _index_sum(clipped[:, o] for o in range(clipped.shape[1]))
+    nonstay = _index_sum(np.maximum(body[:, o], 0.0)
+                         for o in range(body.shape[1]))
     stay = 1.0 - nonstay
     valid = ~(bad | (stay < 0.0))
     if strict and not valid.all():
@@ -183,7 +183,7 @@ def _validate(probs, v, *, strict: bool):
             f"must be at most {1.0 / nonstay[ci, n]:.6g} times its value",
             node=n, control=ci, entry=0,
             value=float(stay[ci, n]), shrink=float(1.0 / nonstay[ci, n]))
-    body[...] = clipped
+    np.maximum(body, 0.0, out=body)
     probs[:, 0] = stay
     return valid, nonstay
 

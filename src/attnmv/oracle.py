@@ -23,8 +23,12 @@ built one ``default_rng`` at a time: every path's PCG64 state comes from
 one vectorized pass that copies numpy's ``SeedSequence`` hashing and the
 PCG64 seeding step exactly, and a test checks the rows against
 ``default_rng`` itself.  Seeds must be non-negative integers and path
-indices below ``2**64``.  Paths run in batches; one batch of streams (at
-most ~150 MB) is held at a time.
+indices below ``2**32``, so a path index is one entropy word.  Paths run
+in batches; one batch of streams (at most ~150 MB) is held at a time.
+
+Every input from outside is checked once, before the first stream is
+drawn; the step loops do not re-check the belief, which each step's
+projection keeps on the simplex.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DomainError
-from .filtering import filter_step, full_belief
+from .filtering import check_belief, filter_step, full_belief
 from .market import FloatArray, RegimeModel, compose_objective
 from .solver import SolutionFields, StencilCache, _select
 
@@ -143,6 +147,8 @@ def _path_streams(seed: int, first: int, count: int, shape: tuple,
     Row ``j`` equals ``default_rng([seed, first + j]).<draw>(shape)``: each
     path's PCG64 state is set on one reused generator, as PCG64 seeding
     sets it (``inc = 2 initseq + 1``, two LCG steps around ``initstate``).
+    Needs ``first + count <= 2**32``, so each path index is one entropy
+    word; ``_walk_paths`` ensures it.
     """
     out = np.empty((count, *shape))
     bitgen = np.random.PCG64(0)
@@ -153,24 +159,16 @@ def _path_streams(seed: int, first: int, count: int, shape: tuple,
     seed = int(seed)
     seed_words = [(seed >> s) & _M32
                   for s in range(0, max(seed.bit_length(), 1), 32)]
-    # a path index is one entropy word below 2**32 and two from there on
-    split = min(max(first, 1 << 32), first + count)
-    for lo, hi in ((first, split), (split, first + count)):
-        if lo == hi:
-            continue
-        idx = np.arange(hi - lo, dtype=np.uint64) + np.uint64(lo)
-        words = [np.full(hi - lo, w, dtype=np.uint32) for w in seed_words]
-        words.append((idx & np.uint64(_M32)).astype(np.uint32))
-        if lo >= 1 << 32:
-            words.append((idx >> np.uint64(32)).astype(np.uint32))
-        for j, row in enumerate(_seed_states(words), lo - first):
-            s_hi, s_lo, q_hi, q_lo = row.tolist()
-            inc = ((q_hi << 65) | (q_lo << 1) | 1) & _M128
-            inner["inc"] = inc
-            inner["state"] = (((s_hi << 64) + s_lo + inc) * _PCG_MULT
-                              + inc) & _M128
-            bitgen.state = state
-            fill(out=out[j])
+    words = [np.full(count, w, dtype=np.uint32) for w in seed_words]
+    words.append(np.arange(first, first + count, dtype=np.uint32))
+    for j, row in enumerate(_seed_states(words)):
+        s_hi, s_lo, q_hi, q_lo = row.tolist()
+        inc = ((q_hi << 65) | (q_lo << 1) | 1) & _M128
+        inner["inc"] = inc
+        inner["state"] = (((s_hi << 64) + s_lo + inc) * _PCG_MULT
+                          + inc) & _M128
+        bitgen.state = state
+        fill(out=out[j])
     return out
 
 
@@ -187,13 +185,23 @@ def _walk_paths(walk, n_paths: int, seed: int, batch_size: int, shape: tuple,
                           f"{n_paths} and {batch_size}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    if n_paths > 1 << 64:
-        raise DomainError(f"path indices must stay below 2**64, got {n_paths} "
+    if n_paths > 1 << 32:
+        raise DomainError(f"path indices must stay below 2**32, got {n_paths} "
                           "paths")
     size = min(batch_size, max(256, 20_000_000 // max(1, math.prod(shape))))
     return [walk(_path_streams(seed, first, min(size, n_paths - first),
                                shape, draw))
             for first in range(0, n_paths, size)]
+
+
+def _step_count(span: float, h2: float, name: str) -> int:
+    """Number of steps ``h2`` in ``span``, which it must divide."""
+    if not (math.isfinite(h2) and h2 > 0):
+        raise DomainError(f"step h2 must be finite and > 0, got {h2}")
+    n_steps = int(round(span / h2))
+    if n_steps < 1 or abs(n_steps * h2 - span) > 1e-9 * max(1.0, span):
+        raise DomainError(f"{name} {span} is not a multiple of the step {h2}")
+    return n_steps
 
 
 class FeedbackPolicy:
@@ -241,10 +249,8 @@ def simulate_sde(model: RegimeModel, policy, t0: float, x0: float,
     belief with the filter step; the two noises are independent.  Paths
     that leave ``x_bounds`` are counted, never clipped.
     """
-    span = model.T - t0
-    n_steps = int(round(span / h2))
-    if n_steps < 1 or abs(n_steps * h2 - span) > 1e-9 * max(1.0, span):
-        raise DomainError(f"horizon {span} is not a multiple of the step {h2}")
+    check_belief(phi0, model.m)
+    n_steps = _step_count(model.T - t0, h2, "horizon")
     m, d, k = model.m, model.d, model.cost_coeff
     sqrt_h2 = np.sqrt(h2)
     lo, hi = x_bounds
@@ -356,16 +362,15 @@ def marginal_check(model: RegimeModel, phi0: FloatArray, pi: float, t: float,
     """Simulate the belief alone; compare its mean with the forward flow."""
     if not 0 < t <= model.T + 1e-12:
         raise DomainError(f"t must lie in (0, T], got {t}")
-    n_steps = int(round(t / h2))
-    if n_steps < 1 or abs(n_steps * h2 - t) > 1e-9 * max(1.0, t):
-        raise DomainError(f"t {t} is not a multiple of the step {h2}")
+    check_belief(phi0, model.m)
+    n_steps = _step_count(t, h2, "t")
     sqrt_h2 = np.sqrt(h2)
 
     def walk(dw):
         phi = np.tile(np.asarray(phi0, dtype=np.float64), (len(dw), 1))
         for j in range(n_steps):
             phi = filter_step(model, phi, pi, dw[:, j] * sqrt_h2, h2)
-        return full_belief(phi, m=model.m, validate=False)
+        return full_belief(phi)
 
     full = np.concatenate(_walk_paths(walk, n_paths, seed, batch_size,
                                       (n_steps,), "standard_normal"))
@@ -373,8 +378,7 @@ def marginal_check(model: RegimeModel, phi0: FloatArray, pi: float, t: float,
     ssq = (full ** 2).sum(axis=0)
     var = np.maximum(ssq / n_paths - mean ** 2, 0.0)
     se = np.sqrt(var / n_paths)
-    target = expm(model.generator.T * t) @ full_belief(
-        np.asarray(phi0, dtype=np.float64), m=model.m)
+    target = expm(model.generator.T * t) @ full_belief(phi0)
     dev = np.abs(mean - target)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(dev == 0.0, 0.0, dev / (3.0 * se))

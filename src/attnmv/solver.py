@@ -251,7 +251,6 @@ def solve(model: RegimeModel, spec: GridSpec, grid: ControlGrid,
 
 
 def spike_margins(model: RegimeModel, fields: SolutionFields, n: int,
-                  policy_row: np.ndarray | None = None,
                   cache: StencilCache | None = None) -> FloatArray:
     """Per-node one-step deviation margin at slice ``n``.
 
@@ -263,8 +262,7 @@ def spike_margins(model: RegimeModel, fields: SolutionFields, n: int,
         cache = StencilCache(model, lat, grid)
     batch = cache.batch(fields.time_of(n))
     cand = _candidates(cache, batch, fields.V[n + 1], fields.g[n + 1])
-    row = fields.policy[n] if policy_row is None else policy_row
-    stored = cand[row, np.arange(lat.n_nodes)]
+    stored = cand[fields.policy[n], np.arange(lat.n_nodes)]
     return cand.min(axis=0) - stored
 
 

@@ -285,13 +285,13 @@ def test_marginal_batching_invariance():
 
 
 @pytest.mark.parametrize("n_paths, batch_size", [(0, 64), (1, 64), (10, 0),
-                                                 (10, -3), (2**64 + 1, 64)])
+                                                 (10, -3), (2**32 + 1, 64)])
 def test_oracles_reject_bad_counts_up_front(short_fields, monkeypatch,
                                             n_paths, batch_size):
     # rejected before any path is drawn: batch_size=0 used to loop forever
     # in marginal_check, n_paths=0 gave NaN means, and the chain and SDE
-    # simulated every path before the summary raised; path indices must
-    # fit the two entropy words the seeding handles
+    # simulated every path before the summary raised; a path index must
+    # fit the one entropy word the seeding handles
     mdl, spec, fields = short_fields
 
     def no_streams(*args):
@@ -308,6 +308,28 @@ def test_oracles_reject_bad_counts_up_front(short_fields, monkeypatch,
     with pytest.raises(DomainError):
         marginal_check(mdl, np.array([0.2]), 1.0, 0.1, n_paths, seed=1,
                        batch_size=batch_size)
+
+
+@pytest.mark.parametrize("phi0, h2", [([1.2], 0.01), ([-0.1], 0.01),
+                                      ([np.nan], 0.01), ([0.2], 0.0),
+                                      ([0.2], np.nan), ([0.2], np.inf)],
+                         ids=["phi0=1.2", "phi0=-0.1", "phi0=nan", "h2=0",
+                              "h2=nan", "h2=inf"])
+def test_oracles_reject_bad_start_up_front(monkeypatch, phi0, h2):
+    # the start belief and the step size are checked once, at entry: the
+    # steps themselves no longer check the belief, an off-simplex belief
+    # used to fail only in the first step, a NaN belief not at all, and
+    # h2 = 0 or NaN raised ZeroDivisionError or ValueError
+    mdl = example_model(T=0.1)
+
+    def no_streams(*args):
+        raise AssertionError("a path was simulated")
+    monkeypatch.setattr("attnmv.oracle._path_streams", no_streams)
+    with pytest.raises(DomainError):
+        simulate_sde(mdl, ConstantPolicy([1.0], 1.0), 0.0, 2.0,
+                     np.array(phi0), 10, seed=1, h2=h2, x_bounds=(0.0, 4.0))
+    with pytest.raises(DomainError):
+        marginal_check(mdl, np.array(phi0), 1.0, 0.1, 10, seed=1, h2=h2)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
@@ -335,9 +357,10 @@ def test_oracles_reject_bad_seed_up_front(short_fields, monkeypatch, seed):
 @pytest.mark.parametrize("shape", [(6,), (6, 2)])
 def test_path_streams_equal_default_rng(seed, first, draw, shape):
     # the vectorized seeding must reproduce numpy's own; the last `first`
-    # crosses into two-word path indices
-    rows = _path_streams(seed, first, 5, shape, draw)
-    for j in range(5):
+    # reaches the largest path index, 2**32 - 1
+    count = min(5, 2**32 - first)
+    rows = _path_streams(seed, first, count, shape, draw)
+    for j in range(count):
         want = getattr(np.random.default_rng([seed, first + j]), draw)(shape)
         np.testing.assert_array_equal(rows[j], want)
 

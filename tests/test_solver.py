@@ -258,10 +258,10 @@ def test_spike_check_scalar_and_corruption(short_fields):
     assert spike_margins(mdl, fields, 100)[node] >= -1e-12
     # corrupt: force the highest attention where the lowest is optimal
     n_pi = len(fields.grid.pi_levels)
-    row = fields.policy[100].copy()
-    assert row[node] % n_pi == 0
-    row[node] += n_pi - 1
-    margins = spike_margins(mdl, fields, 100, policy_row=row)
+    corrupt = replace(fields, policy=fields.policy.copy())
+    assert corrupt.policy[100, node] % n_pi == 0
+    corrupt.policy[100, node] += n_pi - 1
+    margins = spike_margins(mdl, corrupt, 100)
     assert margins[node] < 0.0
 
 
