@@ -42,7 +42,7 @@ DEFAULT_EVAL = {"t": 1.0, "x": 2.0, "phi": [0.2]}
 # defaults of the top-level keys
 DEFAULT_RUN = {"sweep_k": [0.1, 0.3, 0.5],
                "ladder": [[0.4, 0.004], [0.2, 0.001], [0.1, 0.00025]],
-               "convention": None, "slice_times": [0.0, 1.0],
+               "slice_times": [0.0, 1.0],
                "refine_tol": 1e-2, "output_dir": "out"}
 
 
@@ -65,7 +65,6 @@ class RunConfig:
     eval_phi: list[float]
     sweep_k: list[float]
     ladder: list[tuple[float, float]]
-    convention: str | None
     slice_times: list[float]
     refine_tol: float
     output_dir: Path
@@ -93,27 +92,21 @@ class RunConfig:
             pi_min=self.model.attention_min, pi_max=self.model.attention_max,
             n_pi=self.n_pi)
 
-    def effective_model(self) -> RegimeModel:
-        if self.convention and self.convention != self.model.objective_convention:
-            return replace(self.model, objective_convention=self.convention)
-        return self.model
-
     def eval_node(self, lat, *, refine: bool = False) -> int:
-        h1 = lat.spec.h1
+        """Node at the evaluation point, which must be a lattice node."""
         x = self.refine_x if refine and self.refine_x is not None else self.eval_x
         phi = self.refine_phi if refine and self.refine_phi is not None else self.eval_phi
-        ix = round((x - self.x_min) / h1)
-        if not math.isclose(self.x_min + ix * h1, x,
-                            rel_tol=1e-9, abs_tol=1e-12) or not 0 <= ix < lat.n_x:
+        if len(phi) != lat.m - 1:
+            raise ConfigError(f"evaluation phi={phi} not on the grid: it needs "
+                              f"{lat.m - 1} coordinates")
+        with np.errstate(invalid="ignore"):     # a non-finite point fails below
+            node = int(lat.nearest_node(x, phi)[0])
+        if not math.isclose(lat.x[node], x, rel_tol=1e-9, abs_tol=1e-12):
             raise ConfigError(f"evaluation x={x} not on the grid")
-        iphi = [round(p / h1) for p in phi]
-        for j, p in zip(iphi, phi):
-            if not math.isclose(j * h1, p, rel_tol=1e-9, abs_tol=1e-12):
-                raise ConfigError(f"evaluation phi={phi} not on the grid")
-        row = lat.phi_row_of(np.asarray(iphi))
-        if np.any(row < 0):
-            raise ConfigError(f"evaluation phi={phi} outside the simplex grid")
-        return int(lat.index_of(ix, np.asarray(iphi)))
+        if not all(math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+                   for a, b in zip(lat.phi[node], phi)):
+            raise ConfigError(f"evaluation phi={phi} not on the grid")
+        return node
 
     def eval_slice(self, spec: GridSpec, *, refine: bool = False) -> int:
         t = self.refine_t if refine and self.refine_t is not None else self.eval_t
@@ -132,7 +125,6 @@ class RunConfig:
                             "phi": self.refine_phi},
             "sweep_k": self.sweep_k,
             "ladder": [list(r) for r in self.ladder],
-            "convention": self.convention,
             "slice_times": self.slice_times,
             "refine_tol": self.refine_tol,
             "output_dir": str(self.output_dir),
@@ -175,7 +167,6 @@ _FLAGS = (
     ("seed", "seed", {"type": int}, lambda v: as_int(v, "seed")),
     ("h1", "h1", {"type": float}, float), ("h2", "h2", {"type": float}, float),
     ("paths", "n_paths", {"type": int}, lambda v: as_int(v, "paths")),
-    ("convention", "convention", {"choices": CONVENTIONS}, str),
     ("slice_times", "slice_times", {"type": str}, _floats),
     ("sweep_k", "sweep_k", {"type": str}, _floats),
     ("ladder", "ladder", {"type": str}, _parse_ladder),
@@ -197,6 +188,10 @@ def load_config(path: str | Path | None, overrides: argparse.Namespace | None = 
             raw = json.load(fh)
     model = RegimeModel.from_dict(raw["model"]) if "model" in raw \
         else example_model()
+    # the flag, else the top-level key, overrides model.objective_convention
+    convention = getattr(overrides, "convention", None) or raw.get("convention")
+    if convention is not None:
+        model = replace(model, objective_convention=convention)
     bad = validate_model(model)
     if bad:
         raise ConfigError("invalid model: " + "; ".join(bad))
@@ -220,7 +215,6 @@ def load_config(path: str | Path | None, overrides: argparse.Namespace | None = 
         eval_phi=[float(v) for v in ev["phi"]],
         sweep_k=[float(k) for k in top["sweep_k"]],
         ladder=[tuple(map(float, r)) for r in top["ladder"]],
-        convention=top["convention"],
         slice_times=[float(t) for t in top["slice_times"]],
         refine_tol=float(top["refine_tol"]),
         output_dir=Path(top["output_dir"]),
@@ -236,8 +230,6 @@ def load_config(path: str | Path | None, overrides: argparse.Namespace | None = 
         value = getattr(overrides, flag, None)
         if value is not None and value is not False:
             setattr(cfg, name, convert(value))
-    if cfg.convention is not None and cfg.convention not in CONVENTIONS:
-        raise ConfigError(f"convention must be one of {CONVENTIONS}")
     return cfg
 
 
@@ -281,7 +273,7 @@ def _slice_table(fields: SolutionFields, n: int):
     if n < fields.spec.n_steps:
         u = fields.policy_u(n)
         pi = fields.policy_pi(n)
-        w, _ = ratio_policy(fields, n)
+        w = ratio_policy(fields, n)
     else:                       # policy undefined on the terminal slice
         u = np.full((lat.n_nodes, d), np.nan)
         pi = np.full(lat.n_nodes, np.nan)
@@ -293,7 +285,7 @@ def _slice_table(fields: SolutionFields, n: int):
 def _dump_stencils(cfg: RunConfig, fields: SolutionFields, outdir: Path) -> None:
     lat = fields.lat
     u_arr, pi_arr = fields.grid.enumerate()
-    batch = build_stencil_batch(cfg.effective_model(), lat, 0.0, u_arr, pi_arr)
+    batch = build_stencil_batch(cfg.model, lat, 0.0, u_arr, pi_arr)
     n_c = len(pi_arr)
     rows = n_c * lat.n_nodes
     node = np.tile(np.arange(lat.n_nodes), n_c).astype(float)
@@ -311,7 +303,7 @@ def _dump_stencils(cfg: RunConfig, fields: SolutionFields, outdir: Path) -> None
 
 def cmd_solve(cfg: RunConfig) -> int:
     outdir = cfg.output_dir
-    model = cfg.effective_model()
+    model = cfg.model
     spec = cfg.grid_spec()
     grid = cfg.control_grid()
     fields = solve(model, spec, grid, progress=True)
@@ -360,13 +352,13 @@ def cmd_sweep_k(cfg: RunConfig) -> int:
 
     v_cols, w_cols, pi_cols, surf_cols = [], [], [], []
     for k in cfg.sweep_k:
-        model = cfg.effective_model().with_cost(k)
+        model = cfg.model.with_cost(k)
         fields = solve(model, spec, grid)
         lat = fields.lat
-        row = cfg.eval_node(lat) % lat.n_phi
-        sel = np.arange(lat.n_x) * lat.n_phi + row     # fixed phi, all x
+        # fixed belief, all x
+        sel = lat.index_of(np.arange(lat.n_x), lat.iphi[cfg.eval_node(lat)])
         v_cols.append(fields.V[n_eval][sel])
-        w, _ = ratio_policy(fields, n_eval)
+        w = ratio_policy(fields, n_eval)
         w_cols.append(w[sel, 0] if model.d == 1 else
                       np.linalg.norm(w[sel], axis=1))
         pi_cols.append(fields.policy_pi(n_eval)[sel])
@@ -401,7 +393,7 @@ def _load_policy_override(fields: SolutionFields, path: Path) -> None:
 
 def cmd_check(cfg: RunConfig) -> int:
     outdir = cfg.output_dir
-    model = cfg.effective_model()
+    model = cfg.model
     spec = cfg.grid_spec()
     grid = cfg.control_grid()
     report: dict[str, dict] = {}
@@ -485,7 +477,7 @@ def cmd_refine(cfg: RunConfig) -> int:
     if not cfg.ladder:
         raise ConfigError("refinement ladder is empty")
     outdir = cfg.output_dir
-    model = cfg.effective_model()
+    model = cfg.model
     grid = cfg.control_grid()
 
     values, diffs, bhits = [], [], []
@@ -532,6 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.set_defaults(func=fn)
         sp.add_argument("--config", type=str, default=None)
+        sp.add_argument("--convention", choices=CONVENTIONS)
         for flag, _, options, _ in _FLAGS:
             sp.add_argument("--" + flag.replace("_", "-"), **options)
     return p

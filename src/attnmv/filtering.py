@@ -38,6 +38,15 @@ def check_belief(phi: FloatArray, m: int) -> None:
         raise DomainError("belief coordinates sum to more than 1")
 
 
+def check_attention(model: RegimeModel, pi) -> None:
+    """Raise DomainError unless every ``pi`` lies in the attention range."""
+    pi = np.asarray(pi, dtype=np.float64)
+    if not np.all((pi >= model.attention_min - _ATOL)
+                  & (pi <= model.attention_max + _ATOL)):
+        raise DomainError(
+            f"attention outside [{model.attention_min}, {model.attention_max}]")
+
+
 def full_belief(phi: FloatArray) -> FloatArray:
     """Append the implied last coordinate; the result sums to exactly 1."""
     phi = np.asarray(phi, dtype=np.float64)
@@ -67,11 +76,8 @@ def filter_step(model: RegimeModel, phi: FloatArray, pi, dw, h: float) -> FloatA
     ``pi`` comes anew from the policy at every step, so its range is
     checked here.
     """
+    check_attention(model, pi)
     pi_arr = np.asarray(pi, dtype=np.float64)
-    if np.any(pi_arr < model.attention_min - _ATOL) or \
-            np.any(pi_arr > model.attention_max + _ATOL):
-        raise DomainError(
-            f"attention outside [{model.attention_min}, {model.attention_max}]")
     phi = np.asarray(phi, dtype=np.float64)
     full = full_belief(phi)
     zbar = full @ model.signal_levels

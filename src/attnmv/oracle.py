@@ -40,7 +40,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DomainError
-from .filtering import check_belief, filter_step, full_belief
+from .filtering import check_attention, check_belief, filter_step, full_belief
 from .market import FloatArray, RegimeModel, compose_objective
 from .solver import SolutionFields, StencilCache, _select
 
@@ -249,6 +249,10 @@ def simulate_sde(model: RegimeModel, policy, t0: float, x0: float,
     belief with the filter step; the two noises are independent.  Paths
     that leave ``x_bounds`` are counted, never clipped.
     """
+    if not (math.isfinite(t0) and 0 <= t0 < model.T):
+        raise DomainError(f"t0 must be finite and in [0, T), got {t0}")
+    if not math.isfinite(x0):
+        raise DomainError(f"x0 must be finite, got {x0}")
     check_belief(phi0, model.m)
     n_steps = _step_count(model.T - t0, h2, "horizon")
     m, d, k = model.m, model.d, model.cost_coeff
@@ -362,6 +366,7 @@ def marginal_check(model: RegimeModel, phi0: FloatArray, pi: float, t: float,
     """Simulate the belief alone; compare its mean with the forward flow."""
     if not 0 < t <= model.T + 1e-12:
         raise DomainError(f"t must lie in (0, T], got {t}")
+    check_attention(model, pi)
     check_belief(phi0, model.m)
     n_steps = _step_count(t, h2, "t")
     sqrt_h2 = np.sqrt(h2)

@@ -21,13 +21,14 @@ cached batch, so a solved run's spike margin is exactly zero.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, SchemeError
 from .kernel import StencilBatch, build_stencil_batch
-from .lattice import GridSpec, Lattice, build_grid
+from .lattice import GridSpec, Lattice, _is_integral, build_grid
 from .market import (FloatArray, RegimeModel, compose_objective,
                      validate_model)
 
@@ -60,7 +61,13 @@ class ControlGrid:
     @classmethod
     def regular(cls, d: int, u_max: float, du: float,
                 pi_min: float, pi_max: float, n_pi: int) -> "ControlGrid":
-        n_u = int(round(u_max / du)) + 1 if u_max > 0 else 1
+        if not (math.isfinite(du) and du > 0):
+            raise ConfigError(f"du must be finite and > 0, got {du}")
+        if not (math.isfinite(u_max) and u_max >= 0):
+            raise ConfigError(f"u_max must be finite and >= 0, got {u_max}")
+        if not _is_integral(u_max / du):
+            raise ConfigError(f"u_max/du = {u_max / du} is not an integer")
+        n_u = int(round(u_max / du)) + 1
         axis = np.linspace(0.0, u_max, n_u)
         grids = np.meshgrid(*([axis] * d), indexing="ij")
         u = np.stack([g.ravel() for g in grids], axis=1)
@@ -106,10 +113,10 @@ class SolutionFields:
         return n * self.spec.h2
 
     def policy_u(self, n: int) -> FloatArray:
-        return self.grid.u_levels[self.policy[n] // len(self.grid.pi_levels)]
+        return self.grid.enumerate()[0][self.policy[n]]
 
     def policy_pi(self, n: int) -> FloatArray:
-        return self.grid.pi_levels[self.policy[n] % len(self.grid.pi_levels)]
+        return self.grid.enumerate()[1][self.policy[n]]
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +285,11 @@ def g_residuals(model: RegimeModel, fields: SolutionFields, n: int,
     return np.abs(fields.g[n] - expect)
 
 
-def ratio_policy(fields: SolutionFields, n: int) -> tuple[FloatArray, np.ndarray]:
-    """Risky-position-to-wealth ratio u/x per node at slice ``n``.
-
-    Returns ``(w, defined)``; entries with zero wealth are NaN with
-    ``defined`` False.
-    """
+def ratio_policy(fields: SolutionFields, n: int) -> FloatArray:
+    """Risky-position-to-wealth ratio u/x per node at slice ``n``; NaN at x = 0."""
     x = fields.lat.x
     u = fields.policy_u(n)
     defined = x != 0.0
     w = np.full_like(u, np.nan)
     w[defined] = u[defined] / x[defined, None]
-    return w, defined
+    return w

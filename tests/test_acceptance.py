@@ -51,7 +51,7 @@ def cfg():
 @pytest.fixture(scope="module")
 def default_run(cfg):
     """Solved default: h1=0.2, h2=0.001, gamma=0.5, attention in [0.001, 2]."""
-    model = cfg.effective_model()
+    model = cfg.model
     spec = cfg.grid_spec()
     fields = solve(model, spec, cfg.control_grid())
     return model, spec, fields
@@ -60,7 +60,7 @@ def default_run(cfg):
 @pytest.fixture(scope="module")
 def ladder_fields(cfg):
     """Solved fields of every ladder rung under the configured convention."""
-    model = cfg.effective_model()
+    model = cfg.model
     grid = cfg.control_grid()
     return [solve(model, cfg.grid_spec(h1=h1, h2=h2), grid)
             for h1, h2 in LADDER]
@@ -74,7 +74,7 @@ def ladder_runs(cfg):
     no risk (u = 0) along the paths from the evaluation node, so the SDE's
     terminal wealth carries no noise; mean-minus-variance holds risk there.
     """
-    model = replace(cfg.effective_model(),
+    model = replace(cfg.model,
                     objective_convention="mean-minus-variance")
     grid = cfg.control_grid()
     out = []
@@ -233,7 +233,7 @@ def test_criterion_09_figure_shape_checks(cfg, tmp_path_factory):
     upper = x >= (x.min() + x.max()) / 2.0
     # a dearer signal never helps: s V must not fall as k rises, with s = +1
     # where the objective is minimized and -1 where it is maximized
-    model = cfg.effective_model()
+    model = cfg.model
     s = np.sign(compose_objective(0.0, 1.0, model.risk_aversion,
                                   model.objective_convention))
     sv = [s * col(v, c)[upper] for c in ("V_k01", "V_k03", "V_k05")]

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from attnmv.cli import _parse_ladder, load_config, main
+from attnmv.cli import _parse_ladder, build_parser, load_config, main
 from attnmv.errors import ConfigError
 from attnmv.market import compose_objective
 
@@ -180,21 +180,86 @@ def test_sweep_k_artifacts(tmp_path):
     assert len(surf) == 126
 
 
-@pytest.mark.parametrize("point, message", [
-    ({"phi": [0.3]}, "evaluation phi=[0.3] not on the grid"),
-    ({"x": 2.1}, "evaluation x=2.1 not on the grid"),
-])
-def test_sweep_k_rejects_off_grid_eval(tmp_path, capsys, point, message):
-    # the curves used to be written at the nearest grid point without a word
+def run_edited(tmp_path, command, section, update):
+    """Run ``command`` on the short config with ``section`` updated."""
     cfgp = short_config(tmp_path)
     cfg = json.loads(cfgp.read_text())
-    cfg["eval"].update(point)
+    cfg[section].update(update)
     cfgp.write_text(json.dumps(cfg))
     out = tmp_path / "s"
-    rc = main(["sweep-k", "--config", str(cfgp), "--output-dir", str(out)])
+    return main([command, "--config", str(cfgp), "--output-dir", str(out)]), out
+
+
+OFF_GRID_EVAL = [
+    ({"phi": [0.3]}, "evaluation phi=[0.3] not on the grid"),
+    ({"x": 2.1}, "evaluation x=2.1 not on the grid"),
+    ({"x": 4.2}, "evaluation x=4.2 not on the grid"),
+    ({"phi": [-0.2]}, "evaluation phi=[-0.2] not on the grid"),
+    ({"phi": [1.2]}, "evaluation phi=[1.2] not on the grid"),
+    ({"phi": [0.2, 0.2]}, "evaluation phi=[0.2, 0.2] not on the grid"),
+]
+
+
+@pytest.mark.parametrize("point, message", OFF_GRID_EVAL)
+def test_sweep_k_rejects_off_grid_eval(tmp_path, capsys, point, message):
+    # the curves used to be written at the nearest grid point without a
+    # word; phi = [-0.2] ran at the phi = 1 node and [1.2] raised IndexError
+    rc, out = run_edited(tmp_path, "sweep-k", "eval", point)
     assert rc == 2
     assert message in capsys.readouterr().err
-    assert not list(out.glob("fig*.csv"))
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("point, message", OFF_GRID_EVAL)
+def test_solve_rejects_off_grid_eval(tmp_path, capsys, point, message):
+    rc, out = run_edited(tmp_path, "solve", "eval", point)
+    assert rc == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("controls, message", [
+    ({"du": 0.0}, "du must be finite and > 0"),
+    ({"du": -0.5}, "du must be finite and > 0"),
+    ({"du": float("nan")}, "du must be finite and > 0"),
+    ({"u_max": -1.0}, "u_max must be finite and >= 0"),
+    ({"u_max": float("inf")}, "u_max must be finite and >= 0"),
+    ({"u_max": 2.0, "du": 0.3}, "u_max/du = 6.666666666666667 is not an integer"),
+])
+def test_solve_rejects_bad_control_grid(tmp_path, capsys, controls, message):
+    # du = 0 ended in ZeroDivisionError, -0.5 and nan in ValueError (exit
+    # 1), and u_max = 2, du = 0.3 silently stepped by 0.2857
+    rc, out = run_edited(tmp_path, "solve", "controls", controls)
+    assert rc == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("source", ["flag", "key"])
+def test_convention_overrides_the_model(tmp_path, source):
+    # the convention lives in the model alone, so the manifest names the
+    # convention that was solved
+    extra = {"convention": "mean-minus-variance"} if source == "key" else {}
+    flags = ["--convention", "mean-minus-variance"] if source == "flag" else []
+    cfgp = short_config(tmp_path, **extra)
+    args = build_parser().parse_args(["solve", "--config", str(cfgp), *flags])
+    assert load_config(cfgp, args).model.objective_convention \
+        == "mean-minus-variance"
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfgp), "--output-dir", str(out),
+                 *flags]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["config"]["model"]["objective_convention"] \
+        == "mean-minus-variance"
+    assert "convention" not in man["config"]
+
+
+def test_bad_convention_key_is_config_error(tmp_path, capsys):
+    cfgp = short_config(tmp_path, convention="mean-variance")
+    rc = main(["solve", "--config", str(cfgp),
+               "--output-dir", str(tmp_path / "x")])
+    assert rc == 2
+    assert "objective_convention must be one of" in capsys.readouterr().err
 
 
 def test_every_subcommand_writes_timing(tmp_path):

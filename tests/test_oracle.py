@@ -332,6 +332,36 @@ def test_oracles_reject_bad_start_up_front(monkeypatch, phi0, h2):
         marginal_check(mdl, np.array(phi0), 1.0, 0.1, 10, seed=1, h2=h2)
 
 
+@pytest.mark.parametrize("t0, x0, message", [
+    (np.nan, 2.0, "t0"), (np.inf, 2.0, "t0"), (-0.01, 2.0, "t0"),
+    (0.1, 2.0, "t0"), (0.0, np.nan, "x0"), (0.0, -np.inf, "x0"),
+], ids=["t0=nan", "t0=inf", "t0<0", "t0=T", "x0=nan", "x0=-inf"])
+def test_sde_rejects_bad_start_state_up_front(monkeypatch, t0, x0, message):
+    # t0 = nan used to raise ValueError from the step count, and x0 = nan
+    # simulated every path and returned NaN moments
+    mdl = example_model(T=0.1)
+
+    def no_streams(*args):
+        raise AssertionError("a path was simulated")
+    monkeypatch.setattr("attnmv.oracle._path_streams", no_streams)
+    with pytest.raises(DomainError, match=message):
+        simulate_sde(mdl, ConstantPolicy([1.0], 1.0), t0, x0,
+                     np.array([0.2]), 10, seed=1, h2=0.01, x_bounds=(0.0, 4.0))
+
+
+@pytest.mark.parametrize("pi", [10.0, 0.0, np.nan])
+def test_marginal_rejects_bad_attention_up_front(monkeypatch, pi):
+    # pi = 10 used to draw a batch of streams before the first filter step
+    # raised, and pi = nan passed the step's range check
+    mdl = example_model(T=0.1)
+
+    def no_streams(*args):
+        raise AssertionError("a path was simulated")
+    monkeypatch.setattr("attnmv.oracle._path_streams", no_streams)
+    with pytest.raises(DomainError, match="attention outside"):
+        marginal_check(mdl, np.array([0.2]), pi, 0.1, 10, seed=1, h2=0.01)
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
 def test_oracles_reject_bad_seed_up_front(short_fields, monkeypatch, seed):
     # numpy raised only when the first stream was seeded
