@@ -24,7 +24,9 @@ one vectorized pass that copies numpy's ``SeedSequence`` hashing and the
 PCG64 seeding step exactly, and a test checks the rows against
 ``default_rng`` itself.  Seeds must be non-negative integers and path
 indices below ``2**32``, so a path index is one entropy word.  Paths run
-in batches; one batch of streams (at most ~150 MB) is held at a time.
+in batches, spread over up to one forked worker per CPU of the affinity
+mask (in the calling process with one CPU or one batch); ~150 MB of
+streams are in flight in all, and results return in path order.
 
 Every input from outside is checked once, before the first stream is
 drawn; the step loops do not re-check the belief, which each step's
@@ -34,6 +36,7 @@ projection keeps on the simplex.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -172,26 +175,69 @@ def _path_streams(seed: int, first: int, count: int, shape: tuple,
     return out
 
 
+# A forked worker's batch function: set once per worker by the pool's
+# initializer, so only a batch's first path index is pickled to it.
+_worker_batch = None
+
+
+def _adopt_batch(batch) -> None:
+    global _worker_batch
+    _worker_batch = batch
+
+
+def _run_batch(first: int):
+    return _worker_batch(first)
+
+
 def _walk_paths(walk, n_paths: int, seed: int, batch_size: int, shape: tuple,
                 draw: str) -> list:
     """``walk(streams)`` per batch of paths, in path order.
 
     Checks the arguments before any path is drawn.  A batch holds at most
-    ``batch_size`` paths and, above 256 paths, at most ~20 M stream
-    entries (~150 MB); ``streams`` is its ``_path_streams`` rows.
+    ``batch_size`` paths and, above 256 paths, at most ~20 M / ``cpus``
+    stream entries, where ``cpus`` counts the affinity mask; the batches
+    come in multiples of ``cpus`` of equal size, none below 256 paths.
+    ``streams`` is a batch's ``_path_streams`` rows.  With more than one
+    batch and CPU, up to ``cpus`` forked workers run the batches, so ~150
+    MB of streams are in flight in all; the workers inherit ``walk`` and
+    everything it reads, and only path indices and results are pickled.
+    Otherwise the batches run here, one after another.
     """
     if n_paths < 2 or batch_size < 1:
         raise DomainError("need n_paths >= 2 and batch_size >= 1, got "
                           f"{n_paths} and {batch_size}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if (not isinstance(seed, (int, np.integer)) or isinstance(seed, bool)
+            or seed < 0):
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     if n_paths > 1 << 32:
         raise DomainError(f"path indices must stay below 2**32, got {n_paths} "
                           "paths")
-    size = min(batch_size, max(256, 20_000_000 // max(1, math.prod(shape))))
-    return [walk(_path_streams(seed, first, min(size, n_paths - first),
-                               shape, draw))
-            for first in range(0, n_paths, size)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else 1
+    cap = min(batch_size,
+              max(256, 20_000_000 // (cpus * max(1, math.prod(shape)))))
+    # the fewest batches under the cap, rounded up to a multiple of the
+    # CPUs so that the workers get equal shares, but no batch below 256
+    n_batches = -(-n_paths // cap)
+    n_batches = -(-n_batches // cpus) * cpus
+    size = max(-(-n_paths // n_batches), min(cap, 256))
+    firsts = range(0, n_paths, size)
+
+    def batch(first):
+        return walk(_path_streams(seed, first, min(size, n_paths - first),
+                                  shape, draw))
+
+    workers = min(cpus, len(firsts))
+    if workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(workers,
+                                     multiprocessing.get_context("fork"),
+                                     initializer=_adopt_batch,
+                                     initargs=(batch,)) as pool:
+                return list(pool.map(_run_batch, firsts))
+    return [batch(first) for first in firsts]
 
 
 def _step_count(span: float, h2: float, name: str) -> int:
@@ -303,6 +349,11 @@ def simulate_chain(model: RegimeModel, fields: SolutionFields, start_node: int,
     ``cache`` already holding this model's batches saves building them.
     """
     lat = fields.lat
+    if (not isinstance(start_node, (int, np.integer))
+            or isinstance(start_node, bool)
+            or not 0 <= start_node < lat.n_nodes):
+        raise DomainError(f"start_node must be an integer in [0, "
+                          f"{lat.n_nodes}), got {start_node!r}")
     N = fields.spec.n_steps
     if cache is None:
         cache = StencilCache(model, lat, fields.grid)
@@ -316,8 +367,11 @@ def simulate_chain(model: RegimeModel, fields: SolutionFields, start_node: int,
 
     # precomputed for every slice when that fits comfortably in memory
     precompute = N * lat.n_nodes * lat.n_out <= 20_000_000
-    thresholds = (np.stack([slice_thresholds(n) for n in range(N)])
-                  if precompute else None)
+    if precompute:
+        thresholds = np.stack([slice_thresholds(n) for n in range(N)])
+    else:
+        for n in range(N):      # every epoch's batch built before any fork
+            cache.batch(fields.time_of(n))
     on_x_boundary = (lat.ix == 0) | (lat.ix == lat.n_x - 1)
 
     def walk(uni):

@@ -1,4 +1,10 @@
+import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,6 +290,112 @@ def test_marginal_batching_invariance():
     assert (a.max_dev, a.dev_over_3se) == (b.max_dev, b.dev_over_3se)
 
 
+def _cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else 1
+
+
+needs_cpus = pytest.mark.skipif(_cpus() < 2,
+                                reason="the affinity mask has one CPU")
+
+
+class _PidPolicy(FeedbackPolicy):
+    """The stored policy, noting in a file each process that calls it."""
+
+    def __init__(self, fields, pid_file):
+        super().__init__(fields)
+        self.pid_file = pid_file
+
+    def __call__(self, t, x, phi):
+        with open(self.pid_file, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return super().__call__(t, x, phi)
+
+
+def _pool_runs(out_dir):
+    """The three oracles at 600 paths each (two batches on two CPUs).
+
+    Returns their reports as JSON-ready dicts; writes the chain's terminal
+    wealth and the PIDs that called the SDE policy under ``out_dir``.
+    """
+    out_dir = Path(out_dir)
+    mdl = example_model(T=0.2)
+    spec = GridSpec(h1=0.2, h2=0.001, x_min=0.0, x_max=4.0, n_steps=200)
+    cg = ControlGrid.regular(d=1, u_max=2.0, du=0.5, pi_min=mdl.attention_min,
+                             pi_max=mdl.attention_max, n_pi=5)
+    fields = solve(mdl, spec, cg)
+    fields.policy[:] = 24                   # u=2, pi=2: the paths spread
+    start = int(fields.lat.index_of(10, np.array([1])))
+    out = {"chain": simulate_chain(
+        mdl, fields, start, 600, seed=2,
+        terminal_csv=out_dir / "terminal.csv").to_dict()}
+    assert multiprocessing.active_children() == []
+    out["sde"] = simulate_sde(
+        mdl, _PidPolicy(fields, out_dir / "pids.txt"), 0.0, 2.0,
+        np.array([0.2]), 600, seed=5, h2=spec.h2,
+        x_bounds=(spec.x_min, spec.x_max)).to_dict()
+    assert multiprocessing.active_children() == []
+    rep = marginal_check(mdl, np.array([0.6]), pi=0.5, t=0.05, n_paths=600,
+                         seed=9)
+    assert multiprocessing.active_children() == []
+    out["marginal"] = {name: getattr(rep, name).tolist()
+                       for name in ("mean", "target", "se")}
+    out["marginal"].update(max_dev=rep.max_dev, dev_over_3se=rep.dev_over_3se)
+    return out
+
+
+@needs_cpus
+def test_worker_pool_matches_one_cpu(tmp_path):
+    # the same runs in a process pinned to one CPU, where every batch runs
+    # in-process, give equal reports and terminal samples
+    pooled, alone = tmp_path / "pooled", tmp_path / "alone"
+    pooled.mkdir()
+    alone.mkdir()
+    want = _pool_runs(pooled)
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = ("import json, os, sys\n"
+              "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+              "import test_oracle\n"
+              "print(json.dumps(test_oracle._pool_runs(sys.argv[1])))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), str(Path(__file__).resolve().parent)])}
+    proc = subprocess.run([sys.executable, "-c", script, str(alone)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == want
+    assert ((pooled / "terminal.csv").read_bytes()
+            == (alone / "terminal.csv").read_bytes())
+    # the default run walked its batches in at least two workers, the
+    # pinned one in its own process only
+    pids = set((pooled / "pids.txt").read_text().split())
+    assert len(pids) >= 2 and str(os.getpid()) not in pids
+    assert len(set((alone / "pids.txt").read_text().split())) == 1
+
+
+@needs_cpus
+def test_worker_errors_reach_the_caller():
+    # pi outside the attention range fails in the first filter step of
+    # every batch, in the workers and in-process alike
+    mdl = example_model(T=0.1)
+    args = (mdl, ConstantPolicy([0.0], 10.0), 0.0, 2.0, np.array([0.2]), 600)
+    kw = dict(seed=1, h2=0.01, x_bounds=(0.0, 4.0))
+    with pytest.raises(DomainError) as pooled:
+        simulate_sde(*args, **kw)
+    assert multiprocessing.active_children() == []
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        with pytest.raises(DomainError) as alone:
+            simulate_sde(*args, **kw)
+    finally:
+        os.sched_setaffinity(0, mask)
+    assert multiprocessing.active_children() == []
+    assert type(pooled.value) is type(alone.value)
+    assert str(pooled.value) == str(alone.value)
+    assert "attention outside" in str(alone.value)
+
+
 @pytest.mark.parametrize("n_paths, batch_size", [(0, 64), (1, 64), (10, 0),
                                                  (10, -3), (2**32 + 1, 64)])
 def test_oracles_reject_bad_counts_up_front(short_fields, monkeypatch,
@@ -362,9 +474,10 @@ def test_marginal_rejects_bad_attention_up_front(monkeypatch, pi):
         marginal_check(mdl, np.array([0.2]), pi, 0.1, 10, seed=1, h2=0.01)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
 def test_oracles_reject_bad_seed_up_front(short_fields, monkeypatch, seed):
-    # numpy raised only when the first stream was seeded
+    # numpy raised only when the first stream was seeded; True passed the
+    # integer check as 1
     mdl, spec, fields = short_fields
 
     def no_streams(*args):
@@ -379,6 +492,22 @@ def test_oracles_reject_bad_seed_up_front(short_fields, monkeypatch, seed):
                      x_bounds=(spec.x_min, spec.x_max))
     with pytest.raises(DomainError, match="seed"):
         marginal_check(mdl, np.array([0.2]), 1.0, 0.1, 10, seed=seed)
+
+
+@pytest.mark.parametrize("start_node", [-1, 126, True, 2.0, "3"])
+def test_chain_rejects_bad_start_node_up_front(short_fields, monkeypatch,
+                                               start_node):
+    # -1 used to simulate the last node and 126 (= n_nodes) raised
+    # IndexError once the first batch was drawn
+    mdl, spec, fields = short_fields
+    assert fields.lat.n_nodes == 126
+
+    def nothing_built(*args):
+        raise AssertionError("a threshold or path was built")
+    monkeypatch.setattr("attnmv.oracle._select", nothing_built)
+    monkeypatch.setattr("attnmv.oracle._path_streams", nothing_built)
+    with pytest.raises(DomainError, match="start_node"):
+        simulate_chain(mdl, fields, start_node, 10, seed=1)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2**32 + 5, 2**70 + 5, 2**130 + 1])
