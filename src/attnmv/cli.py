@@ -141,6 +141,17 @@ def _slice_of(spec: GridSpec, t: float, what: str) -> int:
     return int(n)
 
 
+def _eval_point(cfg: RunConfig, spec: GridSpec, *, refine: bool = False):
+    """Lattice on ``spec`` with the evaluation node and slice found on it.
+
+    Called before any solve, so an off-grid point costs no solve.
+    """
+    spec.check_horizon(cfg.model.T)
+    lat = build_grid(spec, cfg.model.m)
+    return (lat, cfg.eval_node(lat, refine=refine),
+            cfg.eval_slice(spec, refine=refine))
+
+
 def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v]
 
@@ -306,13 +317,14 @@ def cmd_solve(cfg: RunConfig) -> int:
     model = cfg.model
     spec = cfg.grid_spec()
     grid = cfg.control_grid()
-    fields = solve(model, spec, grid, progress=True)
-    lat = fields.lat
-    node = cfg.eval_node(lat)
+    lat, node, n_eval = _eval_point(cfg, spec)
+    slices = [_slice_of(spec, t, f"slice time {t}") for t in cfg.slice_times]
+    fields = solve(model, spec, grid, progress=True,
+                   cache=StencilCache(model, lat, grid))
 
     artifacts = []
-    for t in cfg.slice_times:
-        header, cols = _slice_table(fields, _slice_of(spec, t, f"slice time {t}"))
+    for t, n in zip(cfg.slice_times, slices):
+        header, cols = _slice_table(fields, n)
         name = f"slice_t{_fmt(t)}.csv"
         write_csv(outdir / name, header, cols)
         artifacts.append(name)
@@ -320,7 +332,6 @@ def cmd_solve(cfg: RunConfig) -> int:
         _dump_stencils(cfg, fields, outdir)
         artifacts.append("stencils_t0.csv")
 
-    n_eval = cfg.eval_slice(spec)
     manifest = {
         "config": cfg.to_dict(),
         "derived": {
@@ -348,15 +359,14 @@ def cmd_sweep_k(cfg: RunConfig) -> int:
     outdir = cfg.output_dir
     spec = cfg.grid_spec()
     grid = cfg.control_grid()
-    n_eval = cfg.eval_slice(spec)
+    lat, node, n_eval = _eval_point(cfg, spec)
+    # fixed belief, all x; every k solves on this lattice
+    sel = lat.index_of(np.arange(lat.n_x), lat.iphi[node])
 
     v_cols, w_cols, pi_cols, surf_cols = [], [], [], []
     for k in cfg.sweep_k:
         model = cfg.model.with_cost(k)
-        fields = solve(model, spec, grid)
-        lat = fields.lat
-        # fixed belief, all x
-        sel = lat.index_of(np.arange(lat.n_x), lat.iphi[cfg.eval_node(lat)])
+        fields = solve(model, spec, grid, cache=StencilCache(model, lat, grid))
         v_cols.append(fields.V[n_eval][sel])
         w = ratio_policy(fields, n_eval)
         w_cols.append(w[sel, 0] if model.d == 1 else
@@ -364,7 +374,7 @@ def cmd_sweep_k(cfg: RunConfig) -> int:
         pi_cols.append(fields.policy_pi(n_eval)[sel])
         surf_cols.append(fields.V[n_eval])
 
-    x_col = lat.x[sel]          # every k solves on the same lattice
+    x_col = lat.x[sel]
     tags = [f"k{_fmt(k)}" for k in cfg.sweep_k]
     write_csv(outdir / "fig1_value.csv", ["x"] + [f"V_{t}" for t in tags],
               [x_col] + v_cols)
@@ -407,6 +417,7 @@ def cmd_check(cfg: RunConfig) -> int:
     spec.check_horizon(model.T)
     cache = StencilCache(model, build_grid(spec, model.m), grid)
     lat, u_arr, pi_arr = cache.lat, cache.u_arr, cache.pi_arr
+    start = cfg.eval_node(lat)
 
     # one strict stencil batch and moment sweep per coefficient epoch; a
     # batch that passes the strict build equals the masked one, so the
@@ -448,7 +459,6 @@ def cmd_check(cfg: RunConfig) -> int:
         for n in range(spec.n_steps))
     record("spike_margins", worst_margin >= -1e-12, min_margin=worst_margin)
 
-    start = cfg.eval_node(lat)
     terminal = outdir / "terminal_wealth.csv" if cfg.dump_terminal else None
     mc = simulate_chain(model, fields, start, cfg.n_paths, cfg.seed,
                         terminal_csv=terminal, cache=cache)
@@ -480,15 +490,16 @@ def cmd_refine(cfg: RunConfig) -> int:
     model = cfg.model
     grid = cfg.control_grid()
 
+    # every rung's evaluation point is checked before the first solve
+    rungs = [_eval_point(cfg, cfg.grid_spec(h1=h1, h2=h2), refine=True)
+             for h1, h2 in cfg.ladder]
     values, diffs, bhits = [], [], []
-    for h1, h2 in cfg.ladder:
-        spec = cfg.grid_spec(h1=h1, h2=h2)
-        fields = solve(model, spec, grid)
-        node = cfg.eval_node(fields.lat, refine=True)
-        n_eval = cfg.eval_slice(spec, refine=True)
+    for (h1, h2), (lat, node, n_eval) in zip(cfg.ladder, rungs):
+        cache = StencilCache(model, lat, grid)
+        fields = solve(model, lat.spec, grid, cache=cache)
         values.append(float(fields.V[n_eval][node]))
-        mc = simulate_chain(model, fields, node,
-                            min(cfg.n_paths, 20_000), cfg.seed)
+        mc = simulate_chain(model, fields, node, min(cfg.n_paths, 20_000),
+                            cfg.seed, cache=cache)
         bhits.append(mc.boundary_hits)
         diffs.append(float("nan") if len(values) < 2
                      else abs(values[-1] - values[-2]))

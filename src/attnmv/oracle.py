@@ -10,7 +10,12 @@ Two simulators cross-check the backward recursion:
 * ``simulate_chain`` walks the discrete chain with the exact transition
   stencils under the stored policy, so the sample mean of terminal wealth
   estimates the auxiliary function ``g`` at the start node.  Outcome 0
-  is the stay, so a step moves only the paths past its threshold.
+  is the stay, so a path moves only at a step where its draw passes its
+  node's stay weight.  The walk scans blocks of ``_BLOCK`` slices: one
+  comparison per block finds each path's first move, and only the paths
+  that moved are scanned again, after the move, against their new node.
+  Besides its streams, a worker holds one epoch's cumulative weights and
+  ``O(_BLOCK * n_nodes * n_out)`` block entries, whatever the horizon.
 
 ``marginal_check`` validates the belief simulation alone against the
 matrix exponential of the generator transpose: the belief mean follows
@@ -38,6 +43,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass
+from itertools import groupby
 
 import numpy as np
 from scipy.linalg import expm
@@ -45,7 +51,7 @@ from scipy.linalg import expm
 from .errors import DomainError
 from .filtering import check_attention, check_belief, filter_step, full_belief
 from .market import FloatArray, RegimeModel, compose_objective
-from .solver import SolutionFields, StencilCache, _select
+from .solver import SolutionFields, StencilCache
 
 
 @dataclass
@@ -337,6 +343,11 @@ def simulate_sde(model: RegimeModel, policy, t0: float, x0: float,
     return summarize(terminal, model, sum(n for _, n in parts) / n_paths)
 
 
+# Slices per block of the chain walk; a block's tables hold
+# O(_BLOCK * n_nodes * n_out) entries whatever the horizon.
+_BLOCK = 128
+
+
 def simulate_chain(model: RegimeModel, fields: SolutionFields, start_node: int,
                    n_paths: int, seed: int, *, batch_size: int = 8192,
                    terminal_csv=None,
@@ -357,38 +368,52 @@ def simulate_chain(model: RegimeModel, fields: SolutionFields, start_node: int,
     N = fields.spec.n_steps
     if cache is None:
         cache = StencilCache(model, lat, fields.grid)
-
-    def slice_thresholds(n):
-        # (n_out - 1, n_nodes) cumulative weights, nondecreasing as the body
-        # weights are >= 0: the count below a draw is its capped outcome
-        probs_sel = _select(cache.batch(fields.time_of(n)).probs,
-                            fields.policy[n])
-        return np.cumsum(probs_sel, axis=0)[:-1]
-
-    # precomputed for every slice when that fits comfortably in memory
-    precompute = N * lat.n_nodes * lat.n_out <= 20_000_000
-    if precompute:
-        thresholds = np.stack([slice_thresholds(n) for n in range(N)])
-    else:
-        for n in range(N):      # every epoch's batch built before any fork
-            cache.batch(fields.time_of(n))
+    # each slice's coefficient epoch; every epoch's batch is built here,
+    # before any fork
+    epoch_of = [model.epoch_of(fields.time_of(n)) for n in range(N)]
+    batches = {e: cache.batch(fields.time_of(n))
+               for n, e in enumerate(epoch_of)}
     on_x_boundary = (lat.ix == 0) | (lat.ix == lat.n_x - 1)
+    cols = np.arange(lat.n_nodes)
+    to_of = lat.neighbors.ravel()
+    steps = np.arange(_BLOCK)
 
     def walk(uni):
         nodes = np.full(len(uni), int(start_node), dtype=np.int64)
         hit = on_x_boundary[nodes]
-        for n in range(N):
-            thr = thresholds[n] if precompute else slice_thresholds(n)
-            u = uni[:, n]
-            # outcome 0 stays put: only paths past its threshold move
-            moving = np.flatnonzero(thr[0][nodes] < u)
-            at, um = nodes[moving], u[moving]
-            flat = at * lat.n_out + 1
-            for row in thr[1:]:
-                flat += row[at] < um
-            to = lat.neighbors.ravel()[flat]
-            nodes[moving] = to
-            hit[moving] |= on_x_boundary[to]
+        held = cum = None
+        for b0 in range(0, N, _BLOCK):
+            b1 = min(b0 + _BLOCK, N)
+            # thr[j, node]: the cumulative weights (n_out - 1,) of slice
+            # b0 + j, added in outcome order as the per-slice cumsum adds
+            # them; nondecreasing as the body weights are >= 0, so the
+            # count below a draw is its capped outcome.  One cumulative
+            # table per epoch serves all its slices.
+            parts = []
+            for e, ns in groupby(range(b0, b1), epoch_of.__getitem__):
+                if e != held:
+                    held, cum = e, np.cumsum(batches[e].probs[:, :-1], axis=1)
+                parts.append(cum[fields.policy[list(ns)], :, cols])
+            thr = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            stay = np.ascontiguousarray(thr[:, :, 0].T)
+            blk = uni[:, b0:b1]
+            # outcome 0 stays put: a path moves only at the steps where
+            # its draw passes the stay weight of the node it is on
+            leave = stay[nodes] < blk
+            rows = np.flatnonzero(leave.any(axis=1))
+            leave = leave[rows]
+            while len(rows):
+                j = leave.argmax(axis=1)
+                u = blk[rows, j]
+                at = nodes[rows]
+                to = to_of[at * lat.n_out + 1
+                           + (thr[j, at, 1:] < u[:, None]).sum(axis=1)]
+                nodes[rows] = to
+                hit[rows] |= on_x_boundary[to]
+                # scan the steps after the move against the new node
+                leave = (stay[to] < blk[rows]) & (steps[:b1 - b0] > j[:, None])
+                more = leave.any(axis=1)
+                rows, leave = rows[more], leave[more]
         return lat.x[nodes], int(hit.sum())
 
     parts = _walk_paths(walk, n_paths, seed, batch_size, (N,), "random")

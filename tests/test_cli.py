@@ -180,14 +180,15 @@ def test_sweep_k_artifacts(tmp_path):
     assert len(surf) == 126
 
 
-def run_edited(tmp_path, command, section, update):
+def run_edited(tmp_path, command, section, update, *flags):
     """Run ``command`` on the short config with ``section`` updated."""
     cfgp = short_config(tmp_path)
     cfg = json.loads(cfgp.read_text())
     cfg[section].update(update)
     cfgp.write_text(json.dumps(cfg))
     out = tmp_path / "s"
-    return main([command, "--config", str(cfgp), "--output-dir", str(out)]), out
+    return main([command, "--config", str(cfgp), "--output-dir", str(out),
+                 *flags]), out
 
 
 OFF_GRID_EVAL = [
@@ -215,6 +216,52 @@ def test_solve_rejects_off_grid_eval(tmp_path, capsys, point, message):
     rc, out = run_edited(tmp_path, "solve", "eval", point)
     assert rc == 2
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, section, point, flags, message", [
+    ("solve", "eval", {"phi": [-0.2]}, (),
+     "evaluation phi=[-0.2] not on the grid"),
+    ("sweep-k", "eval", {"phi": [-0.2]}, (),
+     "evaluation phi=[-0.2] not on the grid"),
+    ("check", "eval", {"phi": [-0.2]}, (),
+     "evaluation phi=[-0.2] not on the grid"),
+    ("solve", "eval", {"t": 0.0005}, (), "evaluation t=0.0005 not on"),
+    ("refine", "refine_eval", {"phi": [-0.2]}, (),
+     "evaluation phi=[-0.2] not on the grid"),
+    # on the first rung's grid (h1 = 0.2) but not on the second's (0.4)
+    ("refine", "refine_eval", {"x": 2.2}, ("--ladder", "0.2:0.001,0.4:0.002"),
+     "evaluation x=2.2 not on the grid"),
+], ids=["solve", "sweep-k", "check", "solve-t", "refine", "refine-rung-2"])
+def test_bad_eval_point_fails_before_any_solve(tmp_path, capsys, monkeypatch,
+                                               command, section, point, flags,
+                                               message):
+    # each command found the evaluation point only after its solve (check
+    # after its strict builds and three checks, refine after a whole rung)
+    import attnmv.cli
+    solves = []
+
+    def spy(*args, **kwargs):
+        solves.append(args)
+        raise AssertionError("solve ran before the evaluation point check")
+    monkeypatch.setattr(attnmv.cli, "solve", spy)
+    rc, out = run_edited(tmp_path, command, section, point, *flags)
+    assert rc == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert solves == []
+
+
+def test_solve_bad_slice_time_fails_before_any_solve(tmp_path, capsys,
+                                                     monkeypatch):
+    # the slice files before a bad slice time used to be written first
+    import attnmv.cli
+    monkeypatch.setattr(attnmv.cli, "solve", None)
+    cfgp = short_config(tmp_path, slice_times=[0.0, 0.0105])
+    out = tmp_path / "s"
+    assert main(["solve", "--config", str(cfgp), "--output-dir",
+                 str(out)]) == 2
+    assert "config error: slice time 0.0105 not on the time grid" \
+        in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
 
 

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from attnmv.lattice import GridSpec, build_grid
 from attnmv.market import example_model
 from attnmv.oracle import (ConstantPolicy, FeedbackPolicy, _path_streams,
                            marginal_check, simulate_chain, simulate_sde,
-                           summarize)
+                           summarize, write_terminal_csv)
 from attnmv.solver import ControlGrid, StencilCache, solve
 
 
@@ -503,8 +504,8 @@ def test_chain_rejects_bad_start_node_up_front(short_fields, monkeypatch,
     assert fields.lat.n_nodes == 126
 
     def nothing_built(*args):
-        raise AssertionError("a threshold or path was built")
-    monkeypatch.setattr("attnmv.oracle._select", nothing_built)
+        raise AssertionError("a stencil batch or path was built")
+    monkeypatch.setattr("attnmv.solver.StencilCache.batch", nothing_built)
     monkeypatch.setattr("attnmv.oracle._path_streams", nothing_built)
     with pytest.raises(DomainError, match="start_node"):
         simulate_chain(mdl, fields, start_node, 10, seed=1)
@@ -671,3 +672,158 @@ def test_marginal_report_pins():
                                    0.2199780458380532]
     assert (rep.max_dev, rep.dev_over_3se) == (0.000805264609625711,
                                                0.22638506850418322)
+
+
+# The block walk of simulate_chain against the per-step walk it replaced:
+# one slice at a time, every path compared with its node's stay weight.
+
+def _per_step_chain(model, fields, start, n_paths, seed):
+    """Terminal wealth, boundary hits and the most moves of one path in one
+    block of 128 slices; one slice at a time, paths drawn by default_rng."""
+    lat, N = fields.lat, fields.spec.n_steps
+    cache = StencilCache(model, lat, fields.grid)
+    uni = np.stack([np.random.default_rng([seed, i]).random(N)
+                    for i in range(n_paths)])
+    on_x_boundary = (lat.ix == 0) | (lat.ix == lat.n_x - 1)
+    nodes = np.full(n_paths, start, dtype=np.int64)
+    hit = on_x_boundary[nodes]
+    moves = np.zeros(n_paths, dtype=np.int64)
+    most = 0
+    for n in range(N):
+        probs = cache.batch(fields.time_of(n)).probs
+        sel = np.take_along_axis(probs, fields.policy[n][None, None, :],
+                                 axis=0)[0]
+        thr = np.cumsum(sel, axis=0)[:-1]
+        u = uni[:, n]
+        moving = np.flatnonzero(thr[0][nodes] < u)
+        at, um = nodes[moving], u[moving]
+        flat = at * lat.n_out + 1
+        for row in thr[1:]:
+            flat += row[at] < um
+        to = lat.neighbors.ravel()[flat]
+        nodes[moving] = to
+        hit[moving] |= on_x_boundary[to]
+        moves[moving] += 1
+        if n % 128 == 127 or n == N - 1:
+            most = max(most, int(moves.max()))
+            moves[:] = 0
+    return lat.x[nodes], int(hit.sum()), most
+
+
+def _mixed_policy(fields, controls):
+    # one of ``controls`` that varies with the slice and the node
+    n_nodes, N = fields.lat.n_nodes, fields.spec.n_steps
+    pick = ((7 * np.arange(n_nodes))[None, :] + np.arange(N)[:, None])
+    return np.asarray(controls)[pick % len(controls)]
+
+
+def _solved(model, h2, n_steps, cg=None):
+    spec = GridSpec(h1=0.2, h2=h2, x_min=0.0, x_max=4.0, n_steps=n_steps)
+    if cg is None:
+        cg = ControlGrid.regular(d=1, u_max=2.0, du=0.5,
+                                 pi_min=model.attention_min,
+                                 pi_max=model.attention_max, n_pi=5)
+    return solve(model, spec, cg)
+
+
+def _epoch_model():
+    # breaks at slices 50, 100, 170 and 299: three inside the first two
+    # blocks of 128 slices, the last on the final slice
+    return example_model(
+        T=0.3, riskfree={"times": [0.0, 0.05, 0.17],
+                         "values": [[0.03, 0.03], [0.05, 0.01],
+                                    [0.02, 0.04]]},
+        drift={"times": [0.0, 0.1, 0.299],
+               "values": [[[0.08], [0.035]], [[0.02], [0.09]],
+                          [[0.06], [0.05]]]})
+
+
+def _block_cases():
+    """(name, model, fields, start node, paths, fewest moves in a block)."""
+    out = []
+    mdl = _epoch_model()
+    assert len(mdl.time_breaks) == 5
+    fields = _solved(mdl, 0.001, 300)           # 300 = 2 * 128 + 44 slices
+    fields.policy[:] = _mixed_policy(fields, range(25))
+    mid = int(fields.lat.index_of(10, np.array([1])))
+    out.append(("epochs-300-slices", mdl, fields, mid, 300, 2))
+    mdl = example_model(T=0.05)
+    fields = _solved(mdl, 0.001, 50)            # one block, shorter than 128
+    fields.policy[:] = _mixed_policy(fields, range(25))
+    out.append(("50-slices", mdl, fields, mid, 257, 1))
+    corner = int(fields.lat.index_of(0, np.array([5])))
+    out.append(("wealth-boundary-start", mdl, fields, corner, 300, 1))
+    mdl = example_model(T=0.36)                 # test_chain_high_motion_pin
+    fields = _solved(mdl, 0.036, 10)
+    fields.policy[:] = 24
+    out.append(("high-motion", mdl, fields,
+                int(fields.lat.index_of(10, np.array([0]))), 400, 5))
+    # informative signals: only the controls with pi = 0 (0, 3 and 6) have
+    # a valid law at every node
+    mdl = _three_regimes(T=0.05)
+    fields = _solved(mdl, 0.001, 50, ControlGrid(
+        u_levels=[[0.0], [1.0], [2.0]], pi_levels=[0.0, 0.5, 2.0]))
+    assert StencilCache(mdl, fields.lat, fields.grid).batch(0.0).valid[
+        [0, 3, 6]].all()
+    fields.policy[:] = _mixed_policy(fields, [0, 3, 6])
+    out.append(("three-regimes", mdl, fields,
+                int(fields.lat.index_of(10, np.array([1, 2]))), 300, 1))
+    return out
+
+
+@pytest.fixture(scope="module")
+def block_cases():
+    return {case[0]: case[1:] for case in _block_cases()}
+
+
+@pytest.mark.parametrize("name", ["epochs-300-slices", "50-slices",
+                                  "wealth-boundary-start", "high-motion",
+                                  "three-regimes"])
+def test_block_walk_matches_per_step_walk(block_cases, tmp_path, name):
+    mdl, fields, start, n_paths, fewest = block_cases[name]
+    x, hits, most = _per_step_chain(mdl, fields, start, n_paths, seed=19)
+    # the case moves as intended: several times in a block where it should
+    assert most >= fewest
+    if name == "wealth-boundary-start":
+        assert hits == n_paths
+    want = tmp_path / "want.csv"
+    write_terminal_csv(want, x)
+    got = tmp_path / "got.csv"
+    mc = simulate_chain(mdl, fields, start, n_paths, seed=19,
+                        batch_size=150, terminal_csv=got)
+    assert mc == summarize(x, mdl, hits / n_paths)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_chain_memory_stays_below_the_slice_table():
+    # The walk holds its paths' uniforms and tables for one block of slices.
+    # Bound: the streams (paths x slices x 8 bytes) plus a quarter of the
+    # (slices, n_out - 1, n_nodes) float64 threshold table that the chain
+    # used to build for the whole horizon before its first path: 6.8 MB
+    # here, against 6.2 MB measured and 19.0 MB with the whole-horizon table.
+    pinned = hasattr(os, "sched_getaffinity")
+    if pinned:                  # one batch, walked in this process
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(mask)})
+    try:
+        mdl = example_model(T=2.0)
+        spec = GridSpec(h1=0.2, h2=1e-3, x_min=0.0, x_max=4.0, n_steps=2000)
+        cg = ControlGrid.regular(d=1, u_max=2.0, du=0.5,
+                                 pi_min=mdl.attention_min,
+                                 pi_max=mdl.attention_max, n_pi=5)
+        cache = StencilCache(mdl, build_grid(spec, mdl.m), cg)
+        fields = solve(mdl, spec, cg, cache=cache)
+        lat, N, n_paths = fields.lat, spec.n_steps, 300
+        start = int(lat.index_of(10, np.array([1])))
+        tracemalloc.start()
+        try:
+            simulate_chain(mdl, fields, start, n_paths, seed=1, cache=cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        if pinned:
+            os.sched_setaffinity(0, mask)
+    streams = n_paths * N * 8
+    table = N * (lat.n_out - 1) * lat.n_nodes * 8
+    assert peak < streams + table / 4, (peak, streams, table)
