@@ -82,6 +82,8 @@ class RunConfig:
     def grid_spec(self, h1: float | None = None, h2: float | None = None) -> GridSpec:
         h1 = self.h1 if h1 is None else h1
         h2 = self.h2 if h2 is None else h2
+        if not (math.isfinite(h2) and h2 > 0):
+            raise ConfigError(f"h2 must be finite and > 0, got {h2}")
         n_steps = int(round(self.model.T / h2))
         return GridSpec(h1=h1, h2=h2, x_min=self.x_min, x_max=self.x_max,
                         n_steps=n_steps)
@@ -134,6 +136,8 @@ class RunConfig:
 
 def _slice_of(spec: GridSpec, t: float, what: str) -> int:
     """Index of the time slice at ``t``; ``what`` names ``t`` if it is off-grid."""
+    if not math.isfinite(t):
+        raise ConfigError(f"{what} not on the time grid")
     n = round(t / spec.h2)
     if not math.isclose(n * spec.h2, t, rel_tol=1e-9, abs_tol=1e-12) \
             or not 0 <= n <= spec.n_steps:
@@ -362,10 +366,14 @@ def cmd_sweep_k(cfg: RunConfig) -> int:
     lat, node, n_eval = _eval_point(cfg, spec)
     # fixed belief, all x; every k solves on this lattice
     sel = lat.index_of(np.arange(lat.n_x), lat.iphi[node])
+    models = [cfg.model.with_cost(k) for k in cfg.sweep_k]
+    for k, model in zip(cfg.sweep_k, models):
+        bad = validate_model(model)
+        if bad:
+            raise ConfigError(f"invalid model at k={k}: " + "; ".join(bad))
 
     v_cols, w_cols, pi_cols, surf_cols = [], [], [], []
-    for k in cfg.sweep_k:
-        model = cfg.model.with_cost(k)
+    for model in models:
         fields = solve(model, spec, grid, cache=StencilCache(model, lat, grid))
         v_cols.append(fields.V[n_eval][sel])
         w = ratio_policy(fields, n_eval)
@@ -490,7 +498,9 @@ def cmd_refine(cfg: RunConfig) -> int:
     model = cfg.model
     grid = cfg.control_grid()
 
-    # every rung's evaluation point is checked before the first solve
+    # the main grid, which the manifest records, and every rung's
+    # evaluation point are checked before the first solve
+    cfg.grid_spec()
     rungs = [_eval_point(cfg, cfg.grid_spec(h1=h1, h2=h2), refine=True)
              for h1, h2 in cfg.ladder]
     values, diffs, bhits = [], [], []

@@ -226,7 +226,6 @@ class ConsistencyReport:
 
     mean_dev: float          # max |E[dY] - f h2|
     second_dev: float        # max |CentralMoment2[dY] - Sigma Sigma' h2|
-    second_scale: float      # second_dev / (h1 * h2)
 
 
 def _moment_deviations(model: RegimeModel, lat: Lattice, t: float,
@@ -267,7 +266,5 @@ def consistency_sweep(model: RegimeModel, lat: Lattice, t: float,
                       u_arr: FloatArray, pi_arr: FloatArray) -> ConsistencyReport:
     """Worst-case moment deviations over all nodes and controls."""
     mean_dev, second_dev = _moment_deviations(model, lat, t, u_arr, pi_arr)
-    worst_second = float(second_dev.max(initial=0.0))
     return ConsistencyReport(mean_dev=float(mean_dev.max(initial=0.0)),
-                             second_dev=worst_second,
-                             second_scale=worst_second / (lat.spec.h1 * lat.spec.h2))
+                             second_dev=float(second_dev.max(initial=0.0)))

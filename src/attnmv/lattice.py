@@ -51,6 +51,9 @@ class GridSpec:
     n_steps: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.h1, self.h2, self.x_min,
+                                       self.x_max))):
+            raise ConfigError("h1, h2, x_min and x_max must be finite")
         if not self.h1 > 0 or not self.h2 > 0:
             raise ConfigError("h1 and h2 must be > 0")
         if not self.x_min < self.x_max:

@@ -205,6 +205,11 @@ class RegimeModel:
 def validate_model(model: RegimeModel) -> list[str]:
     """Check every model invariant; return a list of violations (empty = ok)."""
     out: list[str] = []
+    for name in ("T", "generator", "time_breaks", "riskfree", "drift", "vol",
+                 "signal_levels", "cost_coeff", "attention_min",
+                 "attention_max", "risk_aversion"):
+        if not np.isfinite(getattr(model, name)).all():
+            out.append(f"{name} must be finite")
     m, d = model.m, model.d
     if m < 2:
         out.append("m must be >= 2")

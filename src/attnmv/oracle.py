@@ -19,7 +19,9 @@ Two simulators cross-check the backward recursion:
 
 ``marginal_check`` validates the belief simulation alone against the
 matrix exponential of the generator transpose: the belief mean follows
-the forward equation regardless of the attention level.
+the forward equation regardless of the attention level.  The exponential
+is ``_expm``, a scaled and squared Taylor sum, so numpy is the only
+dependency.
 
 Randomness contract: path ``i`` of a run with seed ``s`` draws the stream
 of ``np.random.default_rng([s, i])``, so paths do not depend on batching
@@ -29,9 +31,10 @@ one vectorized pass that copies numpy's ``SeedSequence`` hashing and the
 PCG64 seeding step exactly, and a test checks the rows against
 ``default_rng`` itself.  Seeds must be non-negative integers and path
 indices below ``2**32``, so a path index is one entropy word.  Paths run
-in batches, spread over up to one forked worker per CPU of the affinity
-mask (in the calling process with one CPU or one batch); ~150 MB of
-streams are in flight in all, and results return in path order.
+in batches of at most ``_MAX_BATCH`` paths, spread over up to one forked
+worker per CPU of the affinity mask (in the calling process with one CPU
+or one batch); ~150 MB of streams are in flight in all, and results
+return in path order.
 
 Every input from outside is checked once, before the first stream is
 drawn; the step loops do not re-check the belief, which each step's
@@ -46,7 +49,6 @@ from dataclasses import asdict, dataclass
 from itertools import groupby
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DomainError
 from .filtering import check_attention, check_belief, filter_step, full_belief
@@ -195,12 +197,17 @@ def _run_batch(first: int):
     return _worker_batch(first)
 
 
-def _walk_paths(walk, n_paths: int, seed: int, batch_size: int, shape: tuple,
+# Paths per batch at most; above 256 paths, a batch also holds at most
+# ~20 M / cpus stream entries (~150 MB of float64 over all the workers).
+_MAX_BATCH = 8192
+
+
+def _walk_paths(walk, n_paths: int, seed: int, shape: tuple,
                 draw: str) -> list:
     """``walk(streams)`` per batch of paths, in path order.
 
     Checks the arguments before any path is drawn.  A batch holds at most
-    ``batch_size`` paths and, above 256 paths, at most ~20 M / ``cpus``
+    ``_MAX_BATCH`` paths and, above 256 paths, at most ~20 M / ``cpus``
     stream entries, where ``cpus`` counts the affinity mask; the batches
     come in multiples of ``cpus`` of equal size, none below 256 paths.
     ``streams`` is a batch's ``_path_streams`` rows.  With more than one
@@ -209,9 +216,8 @@ def _walk_paths(walk, n_paths: int, seed: int, batch_size: int, shape: tuple,
     everything it reads, and only path indices and results are pickled.
     Otherwise the batches run here, one after another.
     """
-    if n_paths < 2 or batch_size < 1:
-        raise DomainError("need n_paths >= 2 and batch_size >= 1, got "
-                          f"{n_paths} and {batch_size}")
+    if n_paths < 2:
+        raise DomainError(f"need n_paths >= 2, got {n_paths}")
     if (not isinstance(seed, (int, np.integer)) or isinstance(seed, bool)
             or seed < 0):
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
@@ -220,7 +226,7 @@ def _walk_paths(walk, n_paths: int, seed: int, batch_size: int, shape: tuple,
                           "paths")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else 1
-    cap = min(batch_size,
+    cap = min(_MAX_BATCH,
               max(256, 20_000_000 // (cpus * max(1, math.prod(shape)))))
     # the fewest batches under the cap, rounded up to a multiple of the
     # CPUs so that the workers get equal shares, but no batch below 256
@@ -293,8 +299,7 @@ def _dot(a, b):
 
 def simulate_sde(model: RegimeModel, policy, t0: float, x0: float,
                  phi0: FloatArray, n_paths: int, seed: int, *,
-                 h2: float, x_bounds: tuple[float, float],
-                 batch_size: int = 4096) -> McSummary:
+                 h2: float, x_bounds: tuple[float, float]) -> McSummary:
     """Euler-Maruyama simulation of the filtered wealth-belief system.
 
     Wealth moves with the belief-averaged drift and volatility row, the
@@ -337,7 +342,7 @@ def simulate_sde(model: RegimeModel, policy, t0: float, x0: float,
             out |= (x < lo) | (x > hi)
         return x, int(out.sum())
 
-    parts = _walk_paths(walk, n_paths, seed, batch_size, (n_steps, d + 1),
+    parts = _walk_paths(walk, n_paths, seed, (n_steps, d + 1),
                         "standard_normal")
     terminal = np.concatenate([x for x, _ in parts])
     return summarize(terminal, model, sum(n for _, n in parts) / n_paths)
@@ -349,8 +354,7 @@ _BLOCK = 128
 
 
 def simulate_chain(model: RegimeModel, fields: SolutionFields, start_node: int,
-                   n_paths: int, seed: int, *, batch_size: int = 8192,
-                   terminal_csv=None,
+                   n_paths: int, seed: int, *, terminal_csv=None,
                    cache: StencilCache | None = None) -> McSummary:
     """Simulate the approximating chain under the stored feedback policy.
 
@@ -416,11 +420,30 @@ def simulate_chain(model: RegimeModel, fields: SolutionFields, start_node: int,
                 rows, leave = rows[more], leave[more]
         return lat.x[nodes], int(hit.sum())
 
-    parts = _walk_paths(walk, n_paths, seed, batch_size, (N,), "random")
+    parts = _walk_paths(walk, n_paths, seed, (N,), "random")
     terminal = np.concatenate([x for x, _ in parts])
     if terminal_csv is not None:
         write_terminal_csv(terminal_csv, terminal)
     return summarize(terminal, model, sum(n for _, n in parts) / n_paths)
+
+
+def _expm(a: FloatArray) -> FloatArray:
+    """Matrix exponential by scaling and squaring a Taylor sum.
+
+    ``a`` is scaled by ``2**-s`` until its max-row-sum norm is at most
+    1/2, where 20 terms leave a truncation error below 1e-25; the sum is
+    then squared ``s`` times (Moler & Van Loan, SIAM Review 45, 2003).
+    """
+    # the norm is below 2**e for frexp's exponent e, so s = e + 1 will do
+    s = max(0, math.frexp(float(np.abs(a).sum(axis=1).max()))[1] + 1)
+    a = a * 2.0 ** -s
+    term = out = np.eye(len(a))
+    for k in range(1, 21):
+        term = term @ a / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 @dataclass
@@ -430,7 +453,7 @@ class MarginalReport:
     t: float
     n_paths: int
     mean: FloatArray          # (m,) sample mean of the full belief at t
-    target: FloatArray        # (m,) expm(Q^T t) applied to the start belief
+    target: FloatArray        # (m,) exp(Q^T t) applied to the start belief
     se: FloatArray            # (m,) standard errors
     max_dev: float
     dev_over_3se: float
@@ -440,8 +463,8 @@ class MarginalReport:
 
 
 def marginal_check(model: RegimeModel, phi0: FloatArray, pi: float, t: float,
-                   n_paths: int, seed: int, *, h2: float = 1e-3,
-                   batch_size: int = 8192) -> MarginalReport:
+                   n_paths: int, seed: int, *,
+                   h2: float = 1e-3) -> MarginalReport:
     """Simulate the belief alone; compare its mean with the forward flow."""
     if not 0 < t <= model.T + 1e-12:
         raise DomainError(f"t must lie in (0, T], got {t}")
@@ -456,13 +479,13 @@ def marginal_check(model: RegimeModel, phi0: FloatArray, pi: float, t: float,
             phi = filter_step(model, phi, pi, dw[:, j] * sqrt_h2, h2)
         return full_belief(phi)
 
-    full = np.concatenate(_walk_paths(walk, n_paths, seed, batch_size,
-                                      (n_steps,), "standard_normal"))
+    full = np.concatenate(_walk_paths(walk, n_paths, seed, (n_steps,),
+                                      "standard_normal"))
     mean = full.sum(axis=0) / n_paths
     ssq = (full ** 2).sum(axis=0)
     var = np.maximum(ssq / n_paths - mean ** 2, 0.0)
     se = np.sqrt(var / n_paths)
-    target = expm(model.generator.T * t) @ full_belief(phi0)
+    target = _expm(model.generator.T * t) @ full_belief(phi0)
     dev = np.abs(mean - target)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(dev == 0.0, 0.0, dev / (3.0 * se))

@@ -112,7 +112,7 @@ def test_criterion_02_local_consistency(cfg, default_run):
     ok = rep.mean_dev <= 1e-12 and rep.second_dev <= 5.0 * spec.h1 * spec.h2
     report(2, "local consistency", ok,
            f"mean_dev={rep.mean_dev:.2e} "
-           f"second_dev/h1h2={rep.second_scale:.3f}")
+           f"second_dev/h1h2={rep.second_dev / (spec.h1 * spec.h2):.3f}")
 
 
 def test_criterion_03_terminal_and_propagation(default_run):

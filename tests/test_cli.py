@@ -324,6 +324,47 @@ def test_every_subcommand_writes_timing(tmp_path):
             f"{command} wall time: ")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["solve", "--h2", "0"], "h2 must be finite and > 0, got 0.0"),
+    (["check", "--h2", "0"], "h2 must be finite and > 0, got 0.0"),
+    (["solve", "--h2", "nan"], "h2 must be finite and > 0, got nan"),
+    (["refine", "--ladder", "0.2:nan"], "h2 must be finite and > 0, got nan"),
+    (["solve", "--slice-times", "nan"], "slice time nan not on the time grid"),
+    (["refine", "--ladder", "0.2:0"], "h2 must be finite and > 0, got 0.0"),
+    (["solve", "--h1", "inf"], "h1, h2, x_min and x_max must be finite"),
+    (["refine", "--h2", "0"], "h2 must be finite and > 0, got 0.0"),
+], ids=["solve-h2=0", "check-h2=0", "solve-h2=nan", "refine-rung-h2=nan",
+        "solve-slice=nan", "refine-rung-h2=0", "solve-h1=inf",
+        "refine-h2=0"])
+def test_bad_step_or_time_is_config_error(tmp_path, capsys, flags, message):
+    # h2 = 0 raised ZeroDivisionError and nan ValueError (refine --h2 0
+    # only after its whole ladder, when it wrote the manifest); h1 = inf
+    # passed the grid check and failed on the evaluation point
+    cfgp = short_config(tmp_path)
+    rc = main([*flags, "--config", str(cfgp),
+               "--output-dir", str(tmp_path / "s")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"config error: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_sweep_k_rejects_non_finite_cost_before_any_solve(tmp_path, capsys,
+                                                          monkeypatch):
+    # k = nan used to fail the third solve with a scheme error (exit 3)
+    import attnmv.cli
+    solves = []
+    monkeypatch.setattr(attnmv.cli, "solve",
+                        lambda *args, **kwargs: solves.append(args))
+    cfgp = short_config(tmp_path)
+    rc = main(["sweep-k", "--sweep-k", "0.1,nan", "--config", str(cfgp),
+               "--output-dir", str(tmp_path / "s")])
+    assert rc == 2
+    assert ("config error: invalid model at k=nan: cost_coeff must be finite"
+            in capsys.readouterr().err)
+    assert solves == []
+
+
 def test_sweep_k_empty_list_rejected(tmp_path):
     cfgp = short_config(tmp_path, sweep_k=[])
     rc = main(["sweep-k", "--config", str(cfgp),

@@ -199,7 +199,8 @@ def test_local_consistency_default_sweep(default_model, default_lattice,
     u_arr, pi_arr = default_controls.enumerate()
     rep = consistency_sweep(default_model, default_lattice, 0.0, u_arr, pi_arr)
     assert rep.mean_dev <= 1e-12
-    assert rep.second_scale <= 5.0
+    spec = default_lattice.spec
+    assert rep.second_dev <= 5.0 * spec.h1 * spec.h2
 
 
 def three_regime_model(**overrides):

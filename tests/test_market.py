@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,28 @@ def test_validate_rejects_degenerate_vol():
 def test_validate_rejects_negative_offdiagonal():
     mdl = example_model(generator=[[0.5, -0.5], [2.0, -2.0]])
     assert any("off-diagonal" in m for m in validate_model(mdl))
+
+
+FINITE_FIELDS = ("T", "generator", "time_breaks", "riskfree", "drift", "vol",
+                 "signal_levels", "cost_coeff", "attention_min",
+                 "attention_max", "risk_aversion")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", FINITE_FIELDS)
+def test_validate_rejects_non_finite(name, bad):
+    # a NaN drift used to pass and fail only in the solve, as a scheme error
+    mdl = example_model(riskfree={"times": [0.0, 1.0],
+                                  "values": [[0.03, 0.03], [0.04, 0.02]]})
+    assert validate_model(mdl) == []
+    value = getattr(mdl, name)
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value.flat[-1] = bad
+    else:
+        value = bad
+    msgs = validate_model(replace(mdl, **{name: value}))
+    assert f"{name} must be finite" in msgs
 
 
 def test_example_model_is_valid():

@@ -14,10 +14,14 @@ from scipy.linalg import expm
 from attnmv.errors import DomainError
 from attnmv.lattice import GridSpec, build_grid
 from attnmv.market import example_model
-from attnmv.oracle import (ConstantPolicy, FeedbackPolicy, _path_streams,
-                           marginal_check, simulate_chain, simulate_sde,
-                           summarize, write_terminal_csv)
+from attnmv.oracle import (ConstantPolicy, FeedbackPolicy, _expm,
+                           _path_streams, marginal_check, simulate_chain,
+                           simulate_sde, summarize, write_terminal_csv)
 from attnmv.solver import ControlGrid, StencilCache, solve
+
+# the largest batch of paths; tests lower it with monkeypatch.setattr to
+# run several batches, and forked workers inherit the lowered value
+MAX_BATCH = "attnmv.oracle._MAX_BATCH"
 
 
 def test_objective_conventions():
@@ -86,14 +90,16 @@ def test_sde_seed_determinism(short_fields):
     assert c.mean_XT != a.mean_XT
 
 
-def test_sde_batching_invariance(short_fields):
+def test_sde_batching_invariance(short_fields, monkeypatch):
     # per-path streams: summary independent of the batch partitioning
     mdl, spec, fields = short_fields
     pol = FeedbackPolicy(fields)
     kw = dict(t0=0.0, x0=2.0, phi0=np.array([0.2]), n_paths=300, seed=5,
               h2=spec.h2, x_bounds=(spec.x_min, spec.x_max))
-    a = simulate_sde(mdl, pol, batch_size=37, **kw)
-    b = simulate_sde(mdl, pol, batch_size=300, **kw)
+    monkeypatch.setattr(MAX_BATCH, 37)
+    a = simulate_sde(mdl, pol, **kw)
+    monkeypatch.setattr(MAX_BATCH, 300)
+    b = simulate_sde(mdl, pol, **kw)
     assert a == b
 
 
@@ -155,7 +161,7 @@ def _scalar_sde(model, x0, phi0, n_paths, seed, h2, lo, hi):
 
 
 @pytest.mark.parametrize("m, d", [(2, 1), (2, 2), (3, 1), (3, 2)])
-def test_sde_matches_scalar_reference(m, d):
+def test_sde_matches_scalar_reference(monkeypatch, m, d):
     # the SDE's wealth step sums regimes, then positions, in index order;
     # with the belief frozen, a float loop over paths must agree bit for bit
     mdl = _frozen_belief_model(m, d)
@@ -167,8 +173,8 @@ def test_sde_matches_scalar_reference(m, d):
 
     kw = dict(n_paths=60, seed=17, h2=0.001)
     bounds = (0.95, 1.05)
-    mc = simulate_sde(mdl, policy, 0.0, 1.0, phi0, x_bounds=bounds,
-                      batch_size=25, **kw)
+    monkeypatch.setattr(MAX_BATCH, 25)
+    mc = simulate_sde(mdl, policy, 0.0, 1.0, phi0, x_bounds=bounds, **kw)
     ref = _scalar_sde(mdl, 1.0, phi0, lo=bounds[0], hi=bounds[1], **kw)
     assert mc == ref
     assert mc.var_XT > 0.0 and 0.0 < mc.boundary_hits < 1.0
@@ -213,14 +219,15 @@ def test_chain_single_step_drift(worked_model):
     assert mc.se_mean < 5e-5
 
 
-def test_chain_seed_determinism(short_fields):
+def test_chain_seed_determinism(short_fields, monkeypatch):
     mdl, spec, fields = short_fields
     start = int(fields.lat.index_of(10, np.array([1])))
     a = simulate_chain(mdl, fields, start, 500, seed=2)
     b = simulate_chain(mdl, fields, start, 500, seed=2)
     assert a == b
-    c = simulate_chain(mdl, fields, start, 500, seed=3, batch_size=123)
     d = simulate_chain(mdl, fields, start, 500, seed=3)
+    monkeypatch.setattr(MAX_BATCH, 123)
+    c = simulate_chain(mdl, fields, start, 500, seed=3)
     assert c == d
 
 
@@ -251,6 +258,66 @@ def test_marginal_matches_expm_oracle():
     assert rep.dev_over_3se <= 1.0
 
 
+def _random_generator(rng, m):
+    # off-diagonal rates up to ~100, rows summing to zero
+    q = rng.uniform(0.0, 1.0, (m, m)) * 10.0 ** rng.uniform(-1.0, 2.0, (m, 1))
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return q
+
+
+def test_expm_matches_scipy_on_random_generators():
+    rng = np.random.default_rng(2003)
+    for _ in range(400):
+        m = int(rng.integers(2, 6))
+        q = _random_generator(rng, m)
+        t = 10.0 ** rng.uniform(-3.0, math.log10(2.0))
+        p0 = rng.dirichlet(np.ones(m))
+        np.testing.assert_allclose(_expm(q.T * t) @ p0, expm(q.T * t) @ p0,
+                                   rtol=0.0, atol=1e-12)
+
+
+def test_expm_of_zero_and_of_a_vanishing_time():
+    np.testing.assert_array_equal(_expm(np.zeros((3, 3))), np.eye(3))
+    a = _random_generator(np.random.default_rng(7), 4).T
+    rate = np.abs(a).sum(axis=1).max()
+    p0 = np.array([0.1, 0.2, 0.3, 0.4])
+    for t in (1e-6, 1e-10, 1e-15):
+        p = _expm(a * t) @ p0
+        np.testing.assert_allclose(p, expm(a * t) @ p0, rtol=0.0, atol=1e-15)
+        # first order in t: the remainder is at most (rate t)^2
+        np.testing.assert_allclose(p, p0 + (a @ p0) * t, rtol=0.0,
+                                   atol=(rate * t) ** 2 + 1e-15)
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # with scipy made unimportable, the CLI imports, solves the default
+    # config, and the marginal oracle computes its target
+    config = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "from attnmv.cli import main\n"
+        "from attnmv.market import example_model\n"
+        "from attnmv.oracle import marginal_check\n"
+        "assert main(['solve', '--config', sys.argv[1],\n"
+        "             '--output-dir', sys.argv[2]]) == 0\n"
+        "rep = marginal_check(example_model(), np.array([0.2]), 1.0, 0.1,\n"
+        "                     300, seed=1)\n"
+        "print(rep.target.tolist())\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script, str(config),
+                           str(tmp_path / "solve")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    target = json.loads(proc.stdout.splitlines()[-1])
+    want = expm(example_model().generator.T * 0.1) @ np.array([0.2, 0.8])
+    np.testing.assert_allclose(target, want, rtol=0.0, atol=1e-12)
+    assert (tmp_path / "solve" / "manifest.json").is_file()
+
+
 def test_marginal_short_time_stays_near_start():
     mdl = example_model(generator=[[-1.0, 1.0], [2.0, -2.0]])
     rep = marginal_check(mdl, np.array([0.4]), pi=1.0, t=0.001, n_paths=2000,
@@ -279,13 +346,15 @@ def test_feedback_policy_lookup(short_fields):
     assert u[0, 0] == fields.policy_u(0)[node, 0]
 
 
-def test_marginal_batching_invariance():
+def test_marginal_batching_invariance(monkeypatch):
     # per-path streams, summed once over all paths: the report does not
     # depend on the batch partitioning
     mdl = example_model(generator=[[-0.7, 0.7], [1.3, -1.3]])
     kw = dict(phi0=np.array([0.6]), pi=0.5, t=0.05, n_paths=300, seed=9)
-    a = marginal_check(mdl, batch_size=37, **kw)
-    b = marginal_check(mdl, batch_size=300, **kw)
+    monkeypatch.setattr(MAX_BATCH, 37)
+    a = marginal_check(mdl, **kw)
+    monkeypatch.setattr(MAX_BATCH, 300)
+    b = marginal_check(mdl, **kw)
     for name in ("target", "mean", "se"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     assert (a.max_dev, a.dev_over_3se) == (b.max_dev, b.dev_over_3se)
@@ -397,30 +466,29 @@ def test_worker_errors_reach_the_caller():
     assert "attention outside" in str(alone.value)
 
 
-@pytest.mark.parametrize("n_paths, batch_size", [(0, 64), (1, 64), (10, 0),
-                                                 (10, -3), (2**32 + 1, 64)])
+@pytest.mark.parametrize("n_paths, max_batch", [(0, 64), (1, 64),
+                                                (2**32 + 1, 64)])
 def test_oracles_reject_bad_counts_up_front(short_fields, monkeypatch,
-                                            n_paths, batch_size):
-    # rejected before any path is drawn: batch_size=0 used to loop forever
-    # in marginal_check, n_paths=0 gave NaN means, and the chain and SDE
-    # simulated every path before the summary raised; a path index must
-    # fit the one entropy word the seeding handles
+                                            n_paths, max_batch):
+    # rejected before any path is drawn, also in batches of 64 paths:
+    # n_paths=0 gave NaN means, and the chain and SDE simulated every path
+    # before the summary raised; a path index must fit the one entropy word
+    # the seeding handles
     mdl, spec, fields = short_fields
 
     def no_streams(*args):
         raise AssertionError("a path was simulated")
     monkeypatch.setattr("attnmv.oracle._path_streams", no_streams)
+    monkeypatch.setattr(MAX_BATCH, max_batch)
     start = int(fields.lat.index_of(10, np.array([1])))
     with pytest.raises(DomainError):
-        simulate_chain(mdl, fields, start, n_paths, seed=1,
-                       batch_size=batch_size)
+        simulate_chain(mdl, fields, start, n_paths, seed=1)
     with pytest.raises(DomainError):
         simulate_sde(mdl, ConstantPolicy([1.0], 1.0), 0.0, 2.0,
                      np.array([0.2]), n_paths, seed=1, h2=spec.h2,
-                     x_bounds=(spec.x_min, spec.x_max), batch_size=batch_size)
+                     x_bounds=(spec.x_min, spec.x_max))
     with pytest.raises(DomainError):
-        marginal_check(mdl, np.array([0.2]), 1.0, 0.1, n_paths, seed=1,
-                       batch_size=batch_size)
+        marginal_check(mdl, np.array([0.2]), 1.0, 0.1, n_paths, seed=1)
 
 
 @pytest.mark.parametrize("phi0, h2", [([1.2], 0.01), ([-0.1], 0.01),
@@ -547,12 +615,13 @@ def _three_regimes(**overrides):
         **overrides)
 
 
-def test_chain_summary_pins(pin_fields):
+def test_chain_summary_pins(pin_fields, monkeypatch):
     mdl, spec, fields = pin_fields
     fields.policy[:] = 24                       # u=2, pi=2 on every slice
     mid = int(fields.lat.index_of(10, np.array([1])))
     edge = int(fields.lat.index_of(19, np.array([2])))
-    mc = simulate_chain(mdl, fields, mid, 3000, seed=31, batch_size=1000)
+    monkeypatch.setattr(MAX_BATCH, 1000)
+    mc = simulate_chain(mdl, fields, mid, 3000, seed=31)
     assert mc.to_dict() == {
         "n_paths": 3000, "mean_XT": 1.9667333333333337,
         "var_XT": 0.026106662222222226, "objective": -0.4655766711111112,
@@ -579,7 +648,7 @@ def test_chain_outcome_zero_is_the_stay(m):
 # Pins recorded before the chain began to move only the paths that leave
 # their node.
 
-def test_chain_high_motion_pin():
+def test_chain_high_motion_pin(monkeypatch):
     # h2 near the step-size limit of u=2, pi=2: the stay weight is 0.16 at
     # the start node and below one half at most nodes
     mdl = example_model(T=0.36)
@@ -591,7 +660,8 @@ def test_chain_high_motion_pin():
     start = int(fields.lat.index_of(10, np.array([0])))
     stay = StencilCache(mdl, fields.lat, cg).batch(0.0).probs[24, 0]
     assert stay[start] < 0.2 and np.median(stay) < 0.5
-    mc = simulate_chain(mdl, fields, start, 4000, seed=41, batch_size=1500)
+    monkeypatch.setattr(MAX_BATCH, 1500)
+    mc = simulate_chain(mdl, fields, start, 4000, seed=41)
     assert mc.to_dict() == {
         "n_paths": 4000, "mean_XT": 1.7533500000000002,
         "var_XT": 0.17057377750000002, "objective": -0.2677637225,
@@ -612,14 +682,14 @@ def test_chain_boundary_start_pin(pin_fields):
         "boundary_hits": 1.0}
 
 
-def test_sde_summary_pins(pin_fields):
+def test_sde_summary_pins(pin_fields, monkeypatch):
     mdl, spec, fields = pin_fields
     # a control that varies with the slice and the node
     fields.policy[:] = ((7 * np.arange(fields.lat.n_nodes))[None, :]
                         + np.arange(spec.n_steps)[:, None]) % 25
+    monkeypatch.setattr(MAX_BATCH, 150)
     mc = simulate_sde(mdl, FeedbackPolicy(fields), 0.0, 2.0, np.array([0.2]),
-                      400, seed=35, h2=spec.h2, x_bounds=(1.95, 2.05),
-                      batch_size=150)
+                      400, seed=35, h2=spec.h2, x_bounds=(1.95, 2.05))
     assert mc.to_dict() == {
         "n_paths": 400, "mean_XT": 1.985062848495655,
         "var_XT": 0.006815061121431102, "objective": -0.48945065100248264,
@@ -632,7 +702,7 @@ def test_sde_summary_pins(pin_fields):
                "values": [[[0.08], [0.035]], [[0.02], [0.09]]]})
     mc = simulate_sde(epochs, ConstantPolicy([1.5], 0.5), 0.0, 1.0,
                       np.array([0.7]), 400, seed=14, h2=0.001,
-                      x_bounds=(0.0, 4.0), batch_size=150)
+                      x_bounds=(0.0, 4.0))
     assert mc.to_dict() == {
         "n_paths": 400, "mean_XT": 1.007794908631519,
         "var_XT": 0.0072638734991138775, "objective": -0.24468485365876588,
@@ -641,6 +711,7 @@ def test_sde_summary_pins(pin_fields):
     # re-recorded when the wealth step began to sum regimes in index order:
     # einsum added three regimes as (p0 + p2) + p1, which moved var_XT,
     # se_mean and se_var by one ulp
+    monkeypatch.undo()
     mc = simulate_sde(_three_regimes(T=0.05), ConstantPolicy([1.0], 1.5), 0.0,
                       2.0, np.array([0.3, 0.5]), 300, seed=15, h2=0.001,
                       x_bounds=(0.0, 4.0))
@@ -653,24 +724,27 @@ def test_sde_summary_pins(pin_fields):
 
 # Re-recorded when marginal_check began to sum all paths' final beliefs at
 # once instead of adding per-batch sums (the m=2 case runs in 5 batches).
-def test_marginal_report_pins():
+# target, max_dev and dev_over_3se re-recorded when the exponential became
+# oracle._expm in place of scipy's expm: target moved by one ulp.
+def test_marginal_report_pins(monkeypatch):
     mdl = example_model(generator=[[-0.7, 0.7], [1.3, -1.3]])
+    monkeypatch.setattr(MAX_BATCH, 700)
     rep = marginal_check(mdl, np.array([0.6]), pi=0.5, t=0.1, n_paths=3000,
-                         seed=6, batch_size=700)
+                         seed=6)
     assert rep.mean.tolist() == [0.6081625439987507, 0.3918374560012486]
     assert rep.se.tolist() == [0.0008598605457757053, 0.0008598605457753555]
-    assert rep.target.tolist() == [0.6090634623461009, 0.3909365376538991]
-    assert (rep.max_dev, rep.dev_over_3se) == (0.000900918347350177,
-                                               0.34924979086286306)
+    assert rep.target.tolist() == [0.609063462346101, 0.3909365376538991]
+    assert (rep.max_dev, rep.dev_over_3se) == (0.000900918347350288,
+                                               0.3492497908629061)
     rep = marginal_check(_three_regimes(T=0.05), np.array([0.3, 0.5]), pi=1.5,
                          t=0.05, n_paths=2000, seed=7, h2=0.001)
     assert rep.mean.tolist() == [0.3010813085250145, 0.4788340310662444,
                                  0.22008466040874022]
     assert rep.se.tolist() == [0.0010287045336132006, 0.0012266570671796606,
                                0.00020311389116942145]
-    assert rep.target.tolist() == [0.30038265848607676, 0.4796392956758701,
+    assert rep.target.tolist() == [0.30038265848607676, 0.47963929567587016,
                                    0.2199780458380532]
-    assert (rep.max_dev, rep.dev_over_3se) == (0.000805264609625711,
+    assert (rep.max_dev, rep.dev_over_3se) == (0.0008052646096257665,
                                                0.22638506850418322)
 
 
@@ -779,7 +853,8 @@ def block_cases():
 @pytest.mark.parametrize("name", ["epochs-300-slices", "50-slices",
                                   "wealth-boundary-start", "high-motion",
                                   "three-regimes"])
-def test_block_walk_matches_per_step_walk(block_cases, tmp_path, name):
+def test_block_walk_matches_per_step_walk(block_cases, tmp_path, monkeypatch,
+                                          name):
     mdl, fields, start, n_paths, fewest = block_cases[name]
     x, hits, most = _per_step_chain(mdl, fields, start, n_paths, seed=19)
     # the case moves as intended: several times in a block where it should
@@ -789,8 +864,8 @@ def test_block_walk_matches_per_step_walk(block_cases, tmp_path, name):
     want = tmp_path / "want.csv"
     write_terminal_csv(want, x)
     got = tmp_path / "got.csv"
-    mc = simulate_chain(mdl, fields, start, n_paths, seed=19,
-                        batch_size=150, terminal_csv=got)
+    monkeypatch.setattr(MAX_BATCH, 150)
+    mc = simulate_chain(mdl, fields, start, n_paths, seed=19, terminal_csv=got)
     assert mc == summarize(x, mdl, hits / n_paths)
     assert got.read_bytes() == want.read_bytes()
 
