@@ -402,11 +402,36 @@ def cmd_sweep_k(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_policy_override(fields: SolutionFields, path: Path) -> None:
-    with open(path) as fh:
-        data = json.load(fh)
-    for n, node, ctrl in data.get("overrides", []):
-        fields.policy[int(n), int(node)] = int(ctrl)
+def _policy_overrides(path: Path, n_steps: int, n_nodes: int,
+                      n_controls: int) -> list[tuple[int, int, int]]:
+    """The ``[n, node, control]`` entries of a policy-override file.
+
+    The file must be an object whose ``overrides`` is a list of integer
+    triples with ``0 <= n < n_steps``, ``0 <= node < n_nodes`` and
+    ``0 <= control < n_controls``; anything else is a ConfigError.
+    """
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"policy override {path}: {err}") from err
+    entries = data.get("overrides") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise ConfigError(f"policy override {path} must be an object whose "
+                          "'overrides' is a list of [n, node, control]")
+    limits = (n_steps, n_nodes, n_controls)
+    out = []
+    for entry in entries:
+        # an integral float counts, a bool or a fraction does not
+        if not (isinstance(entry, list) and len(entry) == 3 and all(
+                type(v) in (int, float) and 0 <= v < lim
+                and float(v).is_integer() for v, lim in zip(entry, limits))):
+            raise ConfigError(
+                f"policy override entry {entry!r} is not [n, node, control] "
+                f"with 0 <= n < {n_steps}, 0 <= node < {n_nodes} and "
+                f"0 <= control < {n_controls}")
+        out.append(tuple(int(v) for v in entry))
+    return out
 
 
 def cmd_check(cfg: RunConfig) -> int:
@@ -426,16 +451,17 @@ def cmd_check(cfg: RunConfig) -> int:
     cache = StencilCache(model, build_grid(spec, model.m), grid)
     lat, u_arr, pi_arr = cache.lat, cache.u_arr, cache.pi_arr
     start = cfg.eval_node(lat)
+    overrides = [] if cfg.policy_override is None else _policy_overrides(
+        cfg.policy_override, spec.n_steps, lat.n_nodes, grid.n_controls)
 
-    # one strict stencil batch and moment sweep per coefficient epoch; a
-    # batch that passes the strict build equals the masked one, so the
-    # solve, the later checks and the chain oracle all take it from here
+    # one strict stencil batch and moment sweep per coefficient epoch, each
+    # dropped after its checks; a batch that passes the strict build equals
+    # the masked one that the solve's cache builds
     mass_err, max_mass = 0.0, 0.0
     worst_mean, worst_second = 0.0, 0.0
-    for e, t_epoch in enumerate(model.time_breaks):
+    for t_epoch in model.time_breaks:
         batch = build_stencil_batch(model, lat, float(t_epoch), u_arr, pi_arr,
                                     strict=True)
-        cache.batches[e] = batch
         mass_err = max(mass_err,
                        float(np.abs(batch.probs.sum(axis=1) - 1.0).max()))
         max_mass = max(max_mass, batch.max_mass)
@@ -450,21 +476,21 @@ def cmd_check(cfg: RunConfig) -> int:
            second_dev_over_h1h2=worst_second / (spec.h1 * spec.h2))
 
     fields = solve(model, spec, grid, cache=cache)
-    if cfg.policy_override is not None:
-        _load_policy_override(fields, cfg.policy_override)
+    for n, node, ctrl in overrides:
+        fields.policy[n, node] = ctrl
 
     V_T = compose_objective(lat.x, 0.0, model.risk_aversion,
                             model.objective_convention)
     term_ok = np.array_equal(fields.V[-1], V_T) and \
         np.array_equal(fields.g[-1], lat.x)
-    worst_g = max(float(g_residuals(model, fields, n, cache).max())
-                  for n in range(spec.n_steps))
+    # both checks in one pass over the slices, which builds each epoch once
+    residuals, margins = [], []
+    for n in range(spec.n_steps):
+        residuals.append(float(g_residuals(model, fields, n, cache).max()))
+        margins.append(float(spike_margins(model, fields, n, cache).min()))
+    worst_g, worst_margin = max(residuals), min(margins)
     record("terminal_and_propagation", term_ok and worst_g <= 1e-12,
            terminal_exact=term_ok, g_residual_max=worst_g)
-
-    worst_margin = min(
-        float(spike_margins(model, fields, n, cache=cache).min())
-        for n in range(spec.n_steps))
     record("spike_margins", worst_margin >= -1e-12, min_margin=worst_margin)
 
     terminal = outdir / "terminal_wealth.csv" if cfg.dump_terminal else None

@@ -33,6 +33,18 @@ is the one check that clips float dust, closes the self mass and masks or
 rejects invalid laws.  There is no single-node builder: the law of one
 (node, control) pair is column ``n`` of row ``c`` of ``build_stencil_batch``.
 
+Only the wealth rows change between coefficient epochs: the riskfree
+rate, drift and volatility carry the time breaks.  The belief rows
+(belief-diagonal and paired), the filter drift, the loadings ``v``, the
+validator's tolerance and the belief terms of the closed-form stay are
+built by ``_belief_rows`` and kept, read-only, in one slot per lattice,
+keyed by the bytes of the attention levels, the generator and the signal
+levels; a build with another key replaces the slot.  Every caller of the
+builder shares it.  An epoch's build then forms ``bbar``, ``ssT``, the
+wealth rows and the stay and validates the whole law, each operation on
+the operands and in the order of a build from scratch, so every batch is
+bit-identical to one.
+
 Summation order: the builder, the validator and the moment sweep work on
 (n_c, n_nodes) planes, and every sum over regimes, assets, outcomes or
 belief pairs ``(i, k)`` (row-major) adds those planes in index order
@@ -43,7 +55,9 @@ entries, so a plane sum has the bits of that array reduction.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +80,82 @@ def _index_sum(planes):
     return total
 
 
+class _BeliefRows(NamedTuple):
+    """The parts of every epoch's law that only the beliefs shape.
+
+    Built from the lattice, the attention levels, the generator and the
+    signal levels, none of which change between coefficient epochs.
+    """
+
+    full: FloatArray         # (n, m) full belief per node
+    qtil: FloatArray         # (n, m-1) filter drift
+    v: FloatArray            # (m-1, n_c, n) belief noise loadings
+    raw: FloatArray          # (n_c, n_out-3, n) belief-diagonal, paired rows
+    neg_tol: FloatArray      # (n_c, 1) tolerance for negative weights
+    quad: FloatArray         # (n_c, n) belief term of the closed-form stay
+    abs_q: FloatArray        # (n,) sum_i |qtil_i|
+
+
+# One slot per lattice: the belief rows of the last attention levels,
+# generator and signal levels it was built with (keyed by their bytes)
+_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _belief_rows(model: RegimeModel, lat: Lattice, pi_arr) -> _BeliefRows:
+    """The belief rows for ``pi_arr`` on ``lat``, built once per key."""
+    pi_arr = np.asarray(pi_arr, dtype=np.float64)
+    key = tuple(np.ascontiguousarray(a, dtype=np.float64).tobytes()
+                for a in (pi_arr, model.generator, model.signal_levels))
+    slot = _ROWS.get(lat)
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    h1, h2 = lat.spec.h1, lat.spec.h2
+    mm = model.m - 1
+    c = h2 / (h1 * h1)
+    full = full_belief(lat.phi)                                  # (n, m)
+    zbar = full @ model.signal_levels
+    qtil = (full @ model.generator)[:, :mm]                      # (n, mm)
+    sqrt_pi = np.sqrt(pi_arr)[:, None]
+    v = np.stack([(sqrt_pi * lat.phi[:, i])
+                  * (model.signal_levels[i] - zbar) for i in range(mm)])
+    absv = np.abs(v)
+    abs_total = _index_sum(absv)                                 # sum_k |v_k|
+
+    raw = np.empty((len(pi_arr), lat.n_out - 3, lat.n_nodes))
+    for i in range(mm):
+        # a_ii/2 - sum_{k != i} |a_ik|/2, as a_ii - |v_i| sum_k |v_k| / 2
+        diag = v[i] * v[i] - 0.5 * (absv[i] * abs_total)
+        raw[:, 2 * i] = (diag + np.maximum(qtil[:, i], 0.0) * h1) * c
+        raw[:, 2 * i + 1] = (diag + np.maximum(-qtil[:, i], 0.0) * h1) * c
+    o = 2 * mm
+    for i in range(mm):
+        for k in range(mm):
+            if i == k:
+                continue
+            a_ik = v[i] * v[k]
+            ap = np.maximum(a_ik, 0.0) * (0.25 * c)
+            am = np.maximum(-a_ik, 0.0) * (0.25 * c)
+            raw[:, o] = ap
+            raw[:, o + 1] = ap
+            raw[:, o + 2] = am
+            raw[:, o + 3] = am
+            o += 4
+
+    # max |a_ik| over nodes and pairs is the square of the largest |v_i|
+    # (rounding is monotone, so the two agree bit for bit)
+    vmax = absv.max(axis=(0, 2), initial=0.0)
+    neg_tol = -(_NEG_TOL * np.maximum(1.0, vmax * vmax))[:, None]
+    quad = (h2 / (2 * h1 * h1)) * (
+        _index_sum(absv[i] * absv[k] for i in range(mm) for k in range(mm))
+        - 3.0 * _index_sum(v[i] * v[i] for i in range(mm)))
+    abs_q = _index_sum(np.abs(qtil[:, i]) for i in range(mm))
+    rows = _BeliefRows(full, qtil, v, raw, neg_tol, quad, abs_q)
+    for a in rows:
+        a.flags.writeable = False
+    _ROWS[lat] = (key, rows)
+    return rows
+
+
 def _coefficients(model: RegimeModel, lat: Lattice, t: float, u_arr, pi_arr):
     """Raw probability tables of every control, plus the consistency targets.
 
@@ -74,17 +164,17 @@ def _coefficients(model: RegimeModel, lat: Lattice, t: float, u_arr, pi_arr):
     and the belief noise loadings ``v`` (m-1, n_c, n_nodes), so that the
     belief covariance is ``a_ik = v[i] * v[k]``.  Each control's entries are
     the same floating-point operations, in the same order, as a build for
-    that control alone.  No validation is performed here; callers decide
-    between fail-fast and masking.
+    that control alone.  Only the wealth rows depend on ``t``; the belief
+    rows come from ``_belief_rows``.  No validation is performed here;
+    callers decide between fail-fast and masking.
     """
     h1, h2 = lat.spec.h1, lat.spec.h2
-    mm = model.m - 1
     c = h2 / (h1 * h1)
     u_arr = np.asarray(u_arr, dtype=np.float64)
     pi_arr = np.asarray(pi_arr, dtype=np.float64)
+    rows = _belief_rows(model, lat, pi_arr)
+    full = rows.full
 
-    full = full_belief(lat.phi)                                  # (n, m)
-    zbar = full @ model.signal_levels
     r = model.riskfree_at(t)
     th_u = (model.theta_at(t) @ u_arr[:, :, None])[:, :, 0]      # (c, m)
     bbar = _index_sum(full[:, i] * (r[i] * lat.x + th_u[:, i, None])
@@ -94,68 +184,35 @@ def _coefficients(model: RegimeModel, lat: Lattice, t: float, u_arr, pi_arr):
     sbar = full @ usig                                           # (c, n, d)
     ssT = _index_sum(sbar[:, :, j] * sbar[:, :, j]
                      for j in range(sbar.shape[2]))
-    qtil = (full @ model.generator)[:, :mm]                      # (n, mm)
-
-    sqrt_pi = np.sqrt(pi_arr)[:, None]
-    v = np.stack([(sqrt_pi * lat.phi[:, i])
-                  * (model.signal_levels[i] - zbar) for i in range(mm)])
-    absv = np.abs(v)
-    abs_total = _index_sum(absv)                                 # sum_k |v_k|
 
     probs = np.empty((len(pi_arr), lat.n_out, lat.n_nodes))
     probs[:, 1] = (ssT + 2.0 * np.maximum(bbar, 0.0) * h1) * (0.5 * c)
     probs[:, 2] = (ssT + 2.0 * np.maximum(-bbar, 0.0) * h1) * (0.5 * c)
-    for i in range(mm):
-        # a_ii/2 - sum_{k != i} |a_ik|/2, as a_ii - |v_i| sum_k |v_k| / 2
-        diag = v[i] * v[i] - 0.5 * (absv[i] * abs_total)
-        probs[:, 3 + 2 * i] = (diag + np.maximum(qtil[:, i], 0.0) * h1) * c
-        probs[:, 4 + 2 * i] = (diag + np.maximum(-qtil[:, i], 0.0) * h1) * c
-    o = 3 + 2 * mm
-    for i in range(mm):
-        for k in range(mm):
-            if i == k:
-                continue
-            a_ik = v[i] * v[k]
-            ap = np.maximum(a_ik, 0.0) * (0.25 * c)
-            am = np.maximum(-a_ik, 0.0) * (0.25 * c)
-            probs[:, o] = ap
-            probs[:, o + 1] = ap
-            probs[:, o + 2] = am
-            probs[:, o + 3] = am
-            o += 4
+    probs[:, 3:] = rows.raw
     probs[:, 0] = 1.0 - _index_sum(probs[:, j] for j in range(1, lat.n_out))
-    return probs, bbar, qtil, ssT, v
+    return probs, bbar, rows.qtil, ssT, rows.v
 
 
-def _stay_closed_form(bbar, qtil, ssT, v, h1, h2):
+def _stay_closed_form(bbar, ssT, rows: _BeliefRows, h1, h2):
     """Self-transition mass from its closed-form expression (diagnostic).
 
     Algebraically identical to the complement used in the construction;
     the residual against it is reported so any non-closure would surface.
     """
-    mm = len(v)
-    absv = np.abs(v)
-    quad = _index_sum(absv[i] * absv[k] for i in range(mm) for k in range(mm)) \
-        - 3.0 * _index_sum(v[i] * v[i] for i in range(mm))
-    abs_q = _index_sum(np.abs(qtil[:, i]) for i in range(mm))
-    return (h2 / (2 * h1 * h1)) * quad \
-        - ((np.abs(bbar) + abs_q) * h1 + ssT) * h2 / (h1 * h1) \
+    return rows.quad \
+        - ((np.abs(bbar) + rows.abs_q) * h1 + ssT) * h2 / (h1 * h1) \
         + 1.0
 
 
-def _validate(probs, v, *, strict: bool):
+def _validate(probs, neg_tol, *, strict: bool):
     """Clip float dust, close the self mass and mark or reject invalid laws.
 
-    ``probs`` (n_c, n_out, n) is updated in place; ``v`` (m-1, n_c, n) sets
+    ``probs`` (n_c, n_out, n) is updated in place; ``neg_tol`` (n_c, 1) is
     each control's tolerance for negative weights.  Returns ``(valid,
     nonstay)``, both (n_c, n).  With ``strict`` the first invalid control
     raises, its body weights checked before its self mass, as a loop over
     controls would.
     """
-    # max |a_ik| over nodes and pairs is the square of the largest |v_i|
-    # (rounding is monotone, so the two agree bit for bit)
-    vmax = np.abs(v).max(axis=(0, 2), initial=0.0)
-    neg_tol = -(_NEG_TOL * np.maximum(1.0, vmax * vmax))[:, None]
     body = probs[:, 1:]
     bad = body[:, 0] < neg_tol
     for o in range(1, body.shape[1]):
@@ -211,9 +268,10 @@ def build_stencil_batch(model: RegimeModel, lat: Lattice, t: float,
     With ``strict`` any invalid entry raises; otherwise invalid
     (control, node) pairs are only masked out in ``valid``.
     """
-    probs, bbar, qtil, ssT, v = _coefficients(model, lat, t, u_arr, pi_arr)
-    valid, nonstay = _validate(probs, v, strict=strict)
-    res = _stay_closed_form(bbar, qtil, ssT, v, lat.spec.h1, lat.spec.h2) \
+    probs, bbar, _, ssT, _ = _coefficients(model, lat, t, u_arr, pi_arr)
+    rows = _belief_rows(model, lat, pi_arr)     # the slot just used
+    valid, nonstay = _validate(probs, rows.neg_tol, strict=strict)
+    res = _stay_closed_form(bbar, ssT, rows, lat.spec.h1, lat.spec.h2) \
         - probs[:, 0]
     return StencilBatch(probs=probs, valid=valid,
                         max_mass=float(nonstay.max(initial=0.0)),

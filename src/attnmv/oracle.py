@@ -361,7 +361,9 @@ def simulate_chain(model: RegimeModel, fields: SolutionFields, start_node: int,
     Uses the exact one-step stencils, so the expected terminal wealth
     equals ``g`` at the start node by construction.  ``boundary_hits`` is
     the fraction of paths that ever occupy a wealth-boundary node.  A
-    ``cache`` already holding this model's batches saves building them.
+    lent ``cache`` holds one epoch's batch, so it saves the chain at most
+    that one build.  The chain collects every epoch's batch before the
+    workers fork and holds them all while it runs.
     """
     lat = fields.lat
     if (not isinstance(start_node, (int, np.integer))

@@ -23,6 +23,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,22 +153,43 @@ def _candidates(cache: StencilCache, batch: StencilBatch, V_next: FloatArray,
 # the backward sweep
 
 
+class EpochSummary(NamedTuple):
+    """What the solve reports of one epoch's batch."""
+
+    max_mass: float           # largest non-stay mass
+    stay_residual: float
+    masked_pairs: int         # invalid (control, node) pairs
+
+
 class StencilCache:
-    """Stencil batches per coefficient epoch, built on first use."""
+    """The stencil batch of one coefficient epoch at a time.
+
+    ``batch(t)`` returns the batch of the epoch holding ``t``; on a miss it
+    drops the batch it holds before building the next, so memory does not
+    grow with the number of epochs.  Every pass over the slices (the
+    backward sweep, the post-hoc checks, the chain oracle) moves through
+    the epochs in order, so it builds each epoch once per pass.  The
+    first build of an epoch records its ``EpochSummary`` in ``epochs``.
+    """
 
     def __init__(self, model, lat, grid):
         self.model = model
         self.lat = lat
         self.grid = grid
         self.u_arr, self.pi_arr = grid.enumerate()
-        self.batches: dict[int, StencilBatch] = {}     # by epoch index
+        self.batches: dict[int, StencilBatch] = {}     # at most one epoch
+        self.epochs: dict[int, EpochSummary] = {}      # by epoch index
 
     def batch(self, t: float) -> StencilBatch:
         e = self.model.epoch_of(t)
         if e not in self.batches:
+            self.batches.clear()
             t_epoch = float(self.model.time_breaks[e])
-            self.batches[e] = build_stencil_batch(
+            b = build_stencil_batch(
                 self.model, self.lat, t_epoch, self.u_arr, self.pi_arr)
+            self.batches[e] = b
+            self.epochs.setdefault(e, EpochSummary(
+                b.max_mass, b.stay_residual, int((~b.valid).sum())))
         return self.batches[e]
 
 
@@ -217,7 +239,9 @@ def solve(model: RegimeModel, spec: GridSpec, grid: ControlGrid,
     """Run the full backward sweep from the terminal slice to time zero.
 
     A ``cache`` built from this ``model``, ``grid`` and a lattice on
-    ``spec`` lends its lattice and any batches it already holds.
+    ``spec`` lends its lattice and the batch it holds.  The CFL mass,
+    stay residual and masked-pair count cover every epoch in the cache's
+    ``epochs`` table, each counted once.
     """
     bad = validate_model(model)
     if bad:
@@ -246,10 +270,10 @@ def solve(model: RegimeModel, spec: GridSpec, grid: ControlGrid,
         step_back(model, fields, n, cache)
         if progress and n % report_every == 0:
             log.info("slice %d/%d done", N - n, N)
-    fields.cfl_max_mass = max(b.max_mass for b in cache.batches.values())
-    fields.stay_residual = max(b.stay_residual for b in cache.batches.values())
-    fields.masked_pairs = sum(int((~b.valid).sum())
-                              for b in cache.batches.values())
+    epochs = cache.epochs.values()
+    fields.cfl_max_mass = max(s.max_mass for s in epochs)
+    fields.stay_residual = max(s.stay_residual for s in epochs)
+    fields.masked_pairs = sum(s.masked_pairs for s in epochs)
     return fields
 
 

@@ -439,9 +439,11 @@ def test_check_rejects_negative_seed(tmp_path, capsys):
     assert not (out / "check_report.json").exists()
 
 
-def test_check_builds_one_batch_per_epoch(tmp_path, monkeypatch):
-    # one strict build per epoch; the solve, the g-residual and spike checks
-    # and the chain oracle all reuse the strict batches
+def test_check_builds_each_epoch_once_per_pass(tmp_path, monkeypatch):
+    # the cache holds one epoch, so each pass over the slices builds every
+    # epoch once: the strict checks, the solve (backward from the last
+    # epoch), the g-residual and spike checks (one pass; epoch 0 is still
+    # held from the solve) and the chain oracle
     import attnmv.cli
     import attnmv.solver
     from attnmv.kernel import build_stencil_batch
@@ -461,7 +463,37 @@ def test_check_builds_one_batch_per_epoch(tmp_path, monkeypatch):
     rc = main(["check", "--config", str(cfgp),
                "--output-dir", str(tmp_path / "x")])
     assert rc == 0
-    assert sorted(calls) == [0.0, 0.02]
+    assert calls == [0.0, 0.02, 0.02, 0.0, 0.02, 0.0, 0.02]
+
+
+@pytest.mark.parametrize("content", [
+    {"overrides": [[0, 5, 999]]}, {"overrides": [[5000, 3, 3]]},
+    {"overrides": [[0, -1, 3]]}, {"overrides": [[0, 3, -2]]}, {},
+    {"overrides": [[1.5, 3, 3]]}, {"overrides": [[0, 3]]},
+    {"overrides": [[True, 3, 3]]}, {"overrides": [[10**400, 3, 3]]},
+    {"overrides": [[float("nan"), 3, 3]]}, {"overrides": [0, 3, 3]},
+    {"overrides": "[[0, 3, 3]]"}, [[0, 3, 3]], "not json"])
+def test_check_rejects_bad_policy_override(tmp_path, monkeypatch, capsys,
+                                           content):
+    # entries out of range used to crash with an IndexError after the
+    # solve, negative ones wrapped to the last node or control, and an
+    # empty object or a fraction passed without a word
+    import attnmv.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("built or solved before the override check")
+    monkeypatch.setattr(attnmv.cli, "solve", never)
+    monkeypatch.setattr(attnmv.cli, "build_stencil_batch", never)
+    override = tmp_path / "override.json"
+    override.write_text(content if isinstance(content, str)
+                        else json.dumps(content))
+    rc = main(["check", "--config", str(short_config(tmp_path)),
+               "--policy-override", str(override),
+               "--output-dir", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error: policy override" in err
+    assert "Traceback" not in err
 
 
 def test_check_wrong_horizon_is_config_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -379,6 +380,40 @@ def test_multi_epoch_batch_and_sweep_pins(m, default_spec, default_controls):
         masked += int((~batch.valid).sum())
     assert digests == EPOCH_PINS[m]
     assert (masked > 0) == (m == 3)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_shared_belief_rows_never_stale(m, default_spec, default_controls):
+    # one lattice serves models that differ from the base only in the
+    # generator, only in the signal levels or only in the attention
+    # levels, each between two base builds; every epoch's batch and sweep
+    # must equal a build on a lattice of its own
+    base = piecewise_model(m)
+    gen = base.generator.copy()
+    gen[0, 0] -= 0.5
+    gen[0, 1] += 0.5
+    other_pi = ControlGrid.regular(d=1, u_max=2.0, du=0.5, pi_min=0.01,
+                                   pi_max=1.0, n_pi=5)
+    changed = [(replace(base, generator=gen), default_controls),
+               (replace(base, signal_levels=base.signal_levels * 1.5),
+                default_controls),
+               (base, other_pi)]
+    shared = build_grid(default_spec, m)
+    runs = [(base, default_controls)]
+    for variant in changed:
+        runs += [variant, (base, default_controls)]
+    for mdl, cg in runs:
+        u_arr, pi_arr = cg.enumerate()
+        for t in mdl.time_breaks:
+            got = build_stencil_batch(mdl, shared, float(t), u_arr, pi_arr)
+            fresh = build_grid(default_spec, m)
+            want = build_stencil_batch(mdl, fresh, float(t), u_arr, pi_arr)
+            assert got.probs.tobytes() == want.probs.tobytes()
+            assert got.valid.tobytes() == want.valid.tobytes()
+            assert (got.max_mass, got.stay_residual) \
+                == (want.max_mass, want.stay_residual)
+            assert consistency_sweep(mdl, shared, float(t), u_arr, pi_arr) \
+                == consistency_sweep(mdl, fresh, float(t), u_arr, pi_arr)
 
 
 def reference_deviations(mdl, lat, t, u_arr, pi_arr):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -415,3 +416,63 @@ def test_no_valid_control_step_too_large(default_controls):
     u_arr, pi_arr = default_controls.enumerate()
     batch = build_stencil_batch(mdl, build_grid(fixed, 2), 0.0, u_arr, pi_arr)
     assert batch.valid[:, err.node].any()
+
+
+def test_epoch_summaries_survive_eviction(default_controls):
+    # the middle epoch's large volatility breaks the step-size condition
+    # for some controls, so only it masks pairs; solve's summaries must
+    # cover every epoch once, though its cache holds one batch at the end
+    # and the post-hoc passes build every epoch again
+    times = [0.0, 0.004, 0.007]
+    mdl = example_model(T=0.01, riskfree={"times": times,
+                                          "values": [[0.03, 0.02]] * 3},
+                        vol={"times": times,
+                             "values": [[[[0.2]], [[0.35]]],
+                                        [[[4.0]], [[4.0]]],
+                                        [[[0.3]], [[0.3]]]]})
+    spec = small_spec(n_steps=10)
+    u_arr, pi_arr = default_controls.enumerate()
+    fresh = [build_stencil_batch(mdl, build_grid(spec, 2), float(t), u_arr,
+                                 pi_arr) for t in times]
+    masked = [int((~b.valid).sum()) for b in fresh]
+    assert masked[0] == masked[2] == 0 < masked[1]
+    want = (max(b.max_mass for b in fresh),
+            max(b.stay_residual for b in fresh), sum(masked))
+    cache = StencilCache(mdl, build_grid(spec, 2), default_controls)
+    for _ in range(2):
+        fields = solve(mdl, spec, default_controls, cache=cache)
+        assert (fields.cfl_max_mass, fields.stay_residual,
+                fields.masked_pairs) == want
+        assert list(cache.batches) == [0]
+        for n in range(spec.n_steps):
+            spike_margins(mdl, fields, n, cache)
+        assert list(cache.batches) == [2]
+
+
+def test_solve_memory_does_not_grow_with_epochs():
+    # 300 coefficient epochs, one per slice: a cache holding every epoch's
+    # batch needs ~270 batches here.  Bound: the solved fields plus three
+    # batches, which must hold the resident batch, the workspace of a
+    # build, the lattice's belief rows and the per-epoch summary table.
+    n_steps = 300
+    times = [0.001 * i for i in range(n_steps)]
+    mdl = three_regime_model(
+        T=0.001 * n_steps,
+        riskfree={"times": times, "values": [[0.03 + 1e-5 * i, 0.02, 0.01]
+                                             for i in range(n_steps)]})
+    spec = GridSpec(h1=0.25, h2=0.001, x_min=0.0, x_max=2.0,
+                    n_steps=n_steps)
+    cg = ControlGrid(u_levels=[[0.0], [1.0], [2.0], [3.0]],
+                     pi_levels=[0.0, 0.25, 0.5, 1.0, 1.5, 2.0])
+    cache = StencilCache(mdl, build_grid(spec, 3), cg)
+    tracemalloc.start()
+    try:
+        fields = solve(mdl, spec, cg, cache=cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    batch = cache.batch(0.0)
+    assert len(cache.batches) == 1 and len(cache.epochs) == n_steps
+    field_bytes = sum(a.nbytes for a in (fields.V, fields.g, fields.policy,
+                                         fields.clamped_mass))
+    assert peak < field_bytes + 3 * (batch.probs.nbytes + batch.valid.nbytes)
