@@ -245,6 +245,12 @@ def load_config(path: str | Path | None, overrides: argparse.Namespace | None = 
         value = getattr(overrides, flag, None)
         if value is not None and value is not False:
             setattr(cfg, name, convert(value))
+    # the oracles' own checks, made before any subcommand builds or solves
+    if cfg.n_paths < 2:
+        raise ConfigError(f"need n_paths >= 2, got {cfg.n_paths}")
+    if cfg.seed < 0:
+        raise ConfigError(
+            f"seed must be a non-negative integer, got {cfg.seed!r}")
     return cfg
 
 

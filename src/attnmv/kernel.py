@@ -26,31 +26,46 @@ central moments match the diffusion times ``h2`` up to ``O(h1 h2)``.
 Moments are evaluated on the raw displacement catalog; boundary projection
 is monitored separately through occupancy metrics.
 
-Every law is built by ``_coefficients`` for all controls of an epoch at
-once, keeping the operation order of a one-control build, so row ``c`` of
-a batch is bit-identical to a build of control ``c`` alone; ``_validate``
-is the one check that clips float dust, closes the self mass and masks or
-rejects invalid laws.  There is no single-node builder: the law of one
-(node, control) pair is column ``n`` of row ``c`` of ``build_stencil_batch``.
+Every law is built for all controls of an epoch at once, keeping the
+operation order of a one-control build, so row ``c`` of a batch is
+bit-identical to a build of control ``c`` alone.  There is no single-node
+builder: the law of one (node, control) pair is column ``n`` of row ``c``
+of ``build_stencil_batch``.
 
 Only the wealth rows change between coefficient epochs: the riskfree
-rate, drift and volatility carry the time breaks.  The belief rows
-(belief-diagonal and paired), the filter drift, the loadings ``v``, the
-validator's tolerance and the belief terms of the closed-form stay are
-built by ``_belief_rows`` and kept, read-only, in one slot per lattice,
-keyed by the bytes of the attention levels, the generator and the signal
-levels; a build with another key replaces the slot.  Every caller of the
-builder shares it.  An epoch's build then forms ``bbar``, ``ssT``, the
-wealth rows and the stay and validates the whole law, each operation on
-the operands and in the order of a build from scratch, so every batch is
+rate, drift and volatility carry the time breaks.  What does not change is
+built once per lattice and kept read-only in one-entry caches keyed by
+bytes; another key replaces the entry, and every caller shares them:
+
+* ``_belief_rows``, keyed by the attention levels, the generator and the
+  signal levels: the belief rows (belief-diagonal and paired), the mask
+  of (control, node) pairs where one of them is below the tolerance for
+  negative weights, the filter drift, the loadings ``v``, the tolerance
+  and the belief terms of the closed-form stay.  The first moment sweep
+  adds the belief coordinates' one-step means and the largest belief-only
+  mean and second-moment deviations: no catalog outcome moves wealth and
+  a belief coordinate together, so those do not depend on the epoch (on
+  a catalog where one does, every sweep covers every coordinate);
+* ``_volatility_term``, keyed by the shape and bytes of the positions and
+  of the epoch's volatility: ``ssT``, which changes only where the
+  volatility does.
+
+An epoch's build forms ``bbar`` and the two wealth rows, copies in the
+stored belief rows clipped at 0 and closes the stay.  The wealth rows are
+a square plus a positive part, times a positive factor, so they are never
+negative: the stored mask is the whole tolerance check, and clipping them
+would change no bit.  An epoch's moment sweep forms only the wealth mean
+and the deviations that involve wealth and takes the maximum with the
+stored ones.  Each operation has the operands and the order of a build or
+sweep of the whole law from scratch, so every batch and report is
 bit-identical to one.
 
-Summation order: the builder, the validator and the moment sweep work on
-(n_c, n_nodes) planes, and every sum over regimes, assets, outcomes or
-belief pairs ``(i, k)`` (row-major) adds those planes in index order
-(``_index_sum``).  No step reduces over a short trailing axis.  Index
-order is also numpy's order for a sum over a trailing axis of fewer than 8
-entries, so a plane sum has the bits of that array reduction.
+Summation order: the builder and the moment sweep work on (n_c, n_nodes)
+planes, and every sum over regimes, assets, outcomes or belief pairs
+``(i, k)`` (row-major) adds those planes in index order (``_index_sum``).
+No step reduces over a short trailing axis.  Index order is also numpy's
+order for a sum over a trailing axis of fewer than 8 entries, so a plane
+sum has the bits of that array reduction.
 """
 
 from __future__ import annotations
@@ -74,13 +89,28 @@ _NEG_TOL = 1e-13
 def _index_sum(planes):
     """Sum of equal-shape arrays, added one after another in index order."""
     planes = iter(planes)
-    total = np.array(next(planes), dtype=np.float64)
+    first = next(planes)
+    second = next(planes, None)
+    if second is None:
+        return np.array(first, dtype=np.float64)
+    total = np.add(first, second, dtype=np.float64)
     for p in planes:
         total += p
     return total
 
 
-class _BeliefRows(NamedTuple):
+class _BeliefMoments(NamedTuple):
+    """What the moment sweep keeps of the belief coordinates."""
+
+    coords: tuple            # coordinates each epoch's sweep covers
+    planes: list             # (outcome, raw belief row) an epoch's sweep reads
+    mean: list               # one-step mean per coordinate; None if per epoch
+    mean_dev: np.float64     # largest |mean deviation| off ``coords``
+    second_dev: np.float64   # largest |second deviation| off ``coords``
+
+
+@dataclass(eq=False)
+class _BeliefRows:
     """The parts of every epoch's law that only the beliefs shape.
 
     Built from the lattice, the attention levels, the generator and the
@@ -88,27 +118,31 @@ class _BeliefRows(NamedTuple):
     """
 
     full: FloatArray         # (n, m) full belief per node
+    cols: FloatArray         # (m, n) the same, one row per regime
     qtil: FloatArray         # (n, m-1) filter drift
     v: FloatArray            # (m-1, n_c, n) belief noise loadings
     raw: FloatArray          # (n_c, n_out-3, n) belief-diagonal, paired rows
+    bad: np.ndarray          # (n_c, n) some belief row below ``neg_tol``
     neg_tol: FloatArray      # (n_c, 1) tolerance for negative weights
     quad: FloatArray         # (n_c, n) belief term of the closed-form stay
     abs_q: FloatArray        # (n,) sum_i |qtil_i|
+    moments: _BeliefMoments | None = None     # set by the first sweep
 
 
-# One slot per lattice: the belief rows of the last attention levels,
+# One entry per lattice: the belief rows of the last attention levels,
 # generator and signal levels it was built with (keyed by their bytes)
 _ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# One entry per lattice: ssT of the last positions and volatility
+_VOL_TERMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _belief_rows(model: RegimeModel, lat: Lattice, pi_arr) -> _BeliefRows:
     """The belief rows for ``pi_arr`` on ``lat``, built once per key."""
-    pi_arr = np.asarray(pi_arr, dtype=np.float64)
     key = tuple(np.ascontiguousarray(a, dtype=np.float64).tobytes()
                 for a in (pi_arr, model.generator, model.signal_levels))
-    slot = _ROWS.get(lat)
-    if slot is not None and slot[0] == key:
-        return slot[1]
+    entry = _ROWS.get(lat)
+    if entry is not None and entry[0] == key:
+        return entry[1]
     h1, h2 = lat.spec.h1, lat.spec.h2
     mm = model.m - 1
     c = h2 / (h1 * h1)
@@ -145,104 +179,96 @@ def _belief_rows(model: RegimeModel, lat: Lattice, pi_arr) -> _BeliefRows:
     # (rounding is monotone, so the two agree bit for bit)
     vmax = absv.max(axis=(0, 2), initial=0.0)
     neg_tol = -(_NEG_TOL * np.maximum(1.0, vmax * vmax))[:, None]
+    bad = raw[:, 0] < neg_tol
+    for o in range(1, raw.shape[1]):
+        bad |= raw[:, o] < neg_tol
     quad = (h2 / (2 * h1 * h1)) * (
         _index_sum(absv[i] * absv[k] for i in range(mm) for k in range(mm))
         - 3.0 * _index_sum(v[i] * v[i] for i in range(mm)))
     abs_q = _index_sum(np.abs(qtil[:, i]) for i in range(mm))
-    rows = _BeliefRows(full, qtil, v, raw, neg_tol, quad, abs_q)
-    for a in rows:
+    arrays = (full, np.ascontiguousarray(full.T), qtil, v, raw, bad,
+              neg_tol, quad, abs_q)
+    for a in arrays:
         a.flags.writeable = False
+    rows = _BeliefRows(*arrays)
     _ROWS[lat] = (key, rows)
     return rows
 
 
-def _coefficients(model: RegimeModel, lat: Lattice, t: float, u_arr, pi_arr):
-    """Raw probability tables of every control, plus the consistency targets.
+def _volatility_term(lat: Lattice, full: FloatArray, u_arr: FloatArray,
+                     vol: FloatArray) -> FloatArray:
+    """``ssT`` (n_c, n): the squared belief-averaged volatility row.
 
-    ``u_arr`` (n_c, d) and ``pi_arr`` (n_c,) give ``probs`` (n_c, n_out,
-    n_nodes), ``bbar`` and ``ssT`` (n_c, n_nodes), ``qtil`` (n_nodes, m-1)
-    and the belief noise loadings ``v`` (m-1, n_c, n_nodes), so that the
-    belief covariance is ``a_ik = v[i] * v[k]``.  Each control's entries are
-    the same floating-point operations, in the same order, as a build for
-    that control alone.  Only the wealth rows depend on ``t``; the belief
-    rows come from ``_belief_rows``.  No validation is performed here;
-    callers decide between fail-fast and masking.
+    Built once per key; ``vol`` (m, d, d) is one epoch's volatility.
     """
-    h1, h2 = lat.spec.h1, lat.spec.h2
-    c = h2 / (h1 * h1)
-    u_arr = np.asarray(u_arr, dtype=np.float64)
-    pi_arr = np.asarray(pi_arr, dtype=np.float64)
-    rows = _belief_rows(model, lat, pi_arr)
-    full = rows.full
-
-    r = model.riskfree_at(t)
-    th_u = (model.theta_at(t) @ u_arr[:, :, None])[:, :, 0]      # (c, m)
-    bbar = _index_sum(full[:, i] * (r[i] * lat.x + th_u[:, i, None])
-                      for i in range(model.m)) \
-        - (model.cost_coeff * pi_arr * pi_arr)[:, None] * lat.x
-    usig = np.einsum("cl,mlj->cmj", u_arr, model.vol_at(t))
+    key = (u_arr.shape, u_arr.tobytes(), vol.shape, vol.tobytes())
+    entry = _VOL_TERMS.get(lat)
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    usig = np.einsum("cl,mlj->cmj", u_arr, vol)
     sbar = full @ usig                                           # (c, n, d)
     ssT = _index_sum(sbar[:, :, j] * sbar[:, :, j]
                      for j in range(sbar.shape[2]))
-
-    probs = np.empty((len(pi_arr), lat.n_out, lat.n_nodes))
-    probs[:, 1] = (ssT + 2.0 * np.maximum(bbar, 0.0) * h1) * (0.5 * c)
-    probs[:, 2] = (ssT + 2.0 * np.maximum(-bbar, 0.0) * h1) * (0.5 * c)
-    probs[:, 3:] = rows.raw
-    probs[:, 0] = 1.0 - _index_sum(probs[:, j] for j in range(1, lat.n_out))
-    return probs, bbar, rows.qtil, ssT, rows.v
+    ssT.flags.writeable = False
+    _VOL_TERMS[lat] = (key, ssT)
+    return ssT
 
 
-def _stay_closed_form(bbar, ssT, rows: _BeliefRows, h1, h2):
-    """Self-transition mass from its closed-form expression (diagnostic).
+class _WealthRows(NamedTuple):
+    """The parts of one epoch's law that the time breaks move."""
 
-    Algebraically identical to the complement used in the construction;
-    the residual against it is reported so any non-closure would surface.
+    up: FloatArray           # (n_c, n) raw weight of wealth +h1
+    down: FloatArray         # (n_c, n) raw weight of wealth -h1
+    bbar: FloatArray         # (n_c, n) belief-averaged wealth drift
+    ssT: FloatArray          # (n_c, n) squared averaged volatility row
+
+
+def _wealth_rows(model: RegimeModel, lat: Lattice, t: float, u_arr,
+                 pi_arr, rows: _BeliefRows) -> _WealthRows:
+    """The wealth rows of every control at the epoch holding ``t``.
+
+    Each control's entries are the same floating-point operations, in the
+    same order, as a build for that control alone.
     """
-    return rows.quad \
-        - ((np.abs(bbar) + rows.abs_q) * h1 + ssT) * h2 / (h1 * h1) \
-        + 1.0
+    h1, h2 = lat.spec.h1, lat.spec.h2
+    c = h2 / (h1 * h1)
+    e = model.epoch_of(t)
+    r = model.riskfree[e]
+    th_u = ((model.drift[e] - r[:, None]) @ u_arr[:, :, None])[:, :, 0]
+    # bbar = sum_i phi_i (r_i x + th_u_i) - k pi^2 x, plane by plane in
+    # place: numpy broadcasts a (c, 1) and an (n,) operand into a new
+    # array far more slowly than it adds a column to a plane
+    bbar = np.empty((len(pi_arr), lat.n_nodes))
+    term = np.empty_like(bbar)
+    for i in range(model.m):
+        plane = bbar if i == 0 else term
+        plane[...] = r[i] * lat.x
+        plane += th_u[:, i, None]
+        plane *= rows.cols[i]
+        if i:
+            bbar += term
+    term[...] = lat.x
+    term *= (model.cost_coeff * pi_arr * pi_arr)[:, None]
+    bbar -= term
+    ssT = _volatility_term(lat, rows.full, u_arr, model.vol[e])
+    # (ssT + 2 max(+-bbar, 0) h1) (c / 2); doubling is exact, so
+    # 2 max(bbar, 0) h1 is max(bbar, 0) (2 h1)
+    up = np.maximum(bbar, 0.0)
+    down = np.negative(bbar)
+    np.maximum(down, 0.0, out=down)
+    for row in (up, down):
+        row *= 2.0 * h1
+        row += ssT
+        row *= 0.5 * c
+    return _WealthRows(up, down, bbar, ssT)
 
 
-def _validate(probs, neg_tol, *, strict: bool):
-    """Clip float dust, close the self mass and mark or reject invalid laws.
-
-    ``probs`` (n_c, n_out, n) is updated in place; ``neg_tol`` (n_c, 1) is
-    each control's tolerance for negative weights.  Returns ``(valid,
-    nonstay)``, both (n_c, n).  With ``strict`` the first invalid control
-    raises, its body weights checked before its self mass, as a loop over
-    controls would.
-    """
-    body = probs[:, 1:]
-    bad = body[:, 0] < neg_tol
-    for o in range(1, body.shape[1]):
-        bad |= body[:, o] < neg_tol
-    nonstay = _index_sum(np.maximum(body[:, o], 0.0)
-                         for o in range(body.shape[1]))
-    stay = 1.0 - nonstay
-    valid = ~(bad | (stay < 0.0))
-    if strict and not valid.all():
-        ci = int(np.argmin(valid.all(axis=1)))
-        if bad[ci].any():
-            bad_ci = body[ci] < neg_tol[ci]
-            o, n = np.unravel_index(np.argmax(bad_ci), bad_ci.shape)
-            raise SchemeError(
-                f"negative transition weight at node {n}, "
-                f"outcome {o + 1}, control {ci} ({body[ci, o, n]:.3e}); "
-                "belief diffusion not diagonally dominant, no time-step "
-                "reduction can fix this",
-                node=int(n), control=ci, entry=int(o + 1),
-                value=float(body[ci, o, n]), shrink=None)
-        n = int(np.argmin(stay[ci]))
-        raise SchemeError(
-            f"self-transition probability at node {n}, control "
-            f"{ci} is negative ({stay[ci, n]:.3e}): time step too large; h2 "
-            f"must be at most {1.0 / nonstay[ci, n]:.6g} times its value",
-            node=n, control=ci, entry=0,
-            value=float(stay[ci, n]), shrink=float(1.0 / nonstay[ci, n]))
-    np.maximum(body, 0.0, out=body)
-    probs[:, 0] = stay
-    return valid, nonstay
+def _epoch_parts(model, lat, t, u_arr, pi_arr):
+    """The lattice's belief rows and the epoch's wealth rows."""
+    u_arr = np.asarray(u_arr, dtype=np.float64)
+    pi_arr = np.asarray(pi_arr, dtype=np.float64)
+    rows = _belief_rows(model, lat, pi_arr)
+    return rows, _wealth_rows(model, lat, t, u_arr, pi_arr, rows)
 
 
 @dataclass
@@ -260,22 +286,74 @@ class StencilBatch:
     stay_residual: float     # |closed-form self mass - complement|, max
 
 
+def _strict_error(valid, stay, nonstay, rows: _BeliefRows) -> SchemeError:
+    """The error of the first invalid control.
+
+    Its body weights are checked before its self mass, as a loop over
+    controls would; only belief rows can fall below the tolerance.
+    """
+    ci = int(np.argmin(valid.all(axis=1)))
+    if rows.bad[ci].any():
+        bad_ci = rows.raw[ci] < rows.neg_tol[ci]
+        o, n = np.unravel_index(np.argmax(bad_ci), bad_ci.shape)
+        value = rows.raw[ci, o, n]
+        return SchemeError(
+            f"negative transition weight at node {n}, "
+            f"outcome {o + 3}, control {ci} ({value:.3e}); "
+            "belief diffusion not diagonally dominant, no time-step "
+            "reduction can fix this",
+            node=int(n), control=ci, entry=int(o + 3),
+            value=float(value), shrink=None)
+    n = int(np.argmin(stay[ci]))
+    return SchemeError(
+        f"self-transition probability at node {n}, control "
+        f"{ci} is negative ({stay[ci, n]:.3e}): time step too large; h2 "
+        f"must be at most {1.0 / nonstay[ci, n]:.6g} times its value",
+        node=n, control=ci, entry=0,
+        value=float(stay[ci, n]), shrink=float(1.0 / nonstay[ci, n]))
+
+
 def build_stencil_batch(model: RegimeModel, lat: Lattice, t: float,
                         u_arr: FloatArray, pi_arr: FloatArray,
                         *, strict: bool = False) -> StencilBatch:
     """Stencils for every control in ``(u_arr, pi_arr)`` at time ``t``.
 
-    With ``strict`` any invalid entry raises; otherwise invalid
+    Negative belief weights within the tolerance are clipped to 0 (the
+    wealth rows are never negative) and the self mass closes the law.
+    With ``strict`` the first invalid control raises; otherwise invalid
     (control, node) pairs are only masked out in ``valid``.
     """
-    probs, bbar, _, ssT, _ = _coefficients(model, lat, t, u_arr, pi_arr)
-    rows = _belief_rows(model, lat, pi_arr)     # the slot just used
-    valid, nonstay = _validate(probs, rows.neg_tol, strict=strict)
-    res = _stay_closed_form(bbar, ssT, rows, lat.spec.h1, lat.spec.h2) \
-        - probs[:, 0]
-    return StencilBatch(probs=probs, valid=valid,
-                        max_mass=float(nonstay.max(initial=0.0)),
-                        stay_residual=float(np.abs(res[valid]).max(initial=0.0)))
+    rows, w = _epoch_parts(model, lat, t, u_arr, pi_arr)
+    h1, h2 = lat.spec.h1, lat.spec.h2
+    probs = np.empty((len(rows.neg_tol), lat.n_out, lat.n_nodes))
+    probs[:, 1] = w.up
+    probs[:, 2] = w.down
+    np.maximum(rows.raw, 0.0, out=probs[:, 3:])
+    nonstay = _index_sum([w.up, w.down]
+                         + [probs[:, o] for o in range(3, lat.n_out)])
+    stay = probs[:, 0]
+    np.subtract(1.0, nonstay, out=stay)
+    valid = stay < 0.0
+    valid |= rows.bad
+    np.logical_not(valid, out=valid)
+    if strict and not valid.all():
+        raise _strict_error(valid, stay, nonstay, rows)
+    # the residual of the closed-form self mass against the complement
+    # surfaces any non-closure:
+    # quad - ((|bbar| + abs_q) h1 + ssT) h2 / h1^2 + 1 - stay, in place
+    res = np.abs(w.bbar)
+    res += rows.abs_q
+    res *= h1
+    res += w.ssT
+    res *= h2
+    res /= h1 * h1
+    np.subtract(rows.quad, res, out=res)
+    res += 1.0
+    res -= stay
+    np.abs(res, out=res)
+    return StencilBatch(
+        probs=probs, valid=valid, max_mass=float(nonstay.max(initial=0.0)),
+        stay_residual=float(res.max(initial=0.0, where=valid)))
 
 
 @dataclass
@@ -286,43 +364,73 @@ class ConsistencyReport:
     second_dev: float        # max |CentralMoment2[dY] - Sigma Sigma' h2|
 
 
-def _moment_deviations(model: RegimeModel, lat: Lattice, t: float,
-                       u_arr: FloatArray, pi_arr: FloatArray):
-    """Moment deviations of every control, each of shape (n_c, n_nodes).
+def _moment_maxima(planes, disp, coords, mean, drift, ssT, v, h2):
+    """Largest moment deviations of the coordinates ``coords``.
 
-    One pass over the outcomes forms ``p d_i`` for each coordinate ``i`` an
-    outcome moves; the moments add ``p d_i`` and ``(p d_i) d_j`` in outcome
-    order.  Terms of a coordinate an outcome leaves fixed are exact zeros
-    and are skipped.  Every displacement coordinate is 0 or +-h1, so
-    ``(p d_i) d_j = (p d_j) d_i`` and the upper triangle of the second
-    moment holds every deviation.
+    ``planes`` lists ``(o, p)``, the raw (n_c, n) weight ``p`` of outcome
+    ``o``, in outcome order, and holds every outcome that moves one of
+    ``coords``.  ``mean`` has one entry per coordinate and receives those
+    of ``coords``; the second moments cover the pairs (i, j >= i) with i
+    in ``coords``, which read the others' means.  One pass over the
+    outcomes forms ``p d_i``; the moments add ``p d_i`` and ``(p d_i)
+    d_j`` in outcome order, skipping the exact zero terms of a coordinate
+    an outcome leaves fixed.  Every displacement coordinate is 0 or
+    +-h1, so ``(p d_i) d_j = (p d_j) d_i``.
     """
-    h2 = lat.spec.h2
-    probs, bbar, qtil, ssT, v = _coefficients(model, lat, t, u_arr, pi_arr)
-    disp = lat.displacements                                     # (n_out, 1+mm)
-    dims = range(disp.shape[1])
-    drift = [bbar] + [qtil[:, i] for i in range(len(v))]
-    moved = [[(probs[:, o] * disp[o, i], disp[o])
-              for o in range(lat.n_out) if disp[o, i] != 0.0] for i in dims]
-    mean = [_index_sum(pd for pd, _ in moved[i]) for i in dims]
-    mean_dev = np.zeros_like(bbar)
-    second_dev = np.zeros_like(bbar)
-    for i in dims:
-        np.maximum(mean_dev, np.abs(mean[i] - drift[i] * h2), out=mean_dev)
-        for j in dims[i:]:
+    moved = {i: [(p * disp[o, i], disp[o]) for o, p in planes
+                 if disp[o, i] != 0.0] for i in coords}
+    for i in coords:
+        mean[i] = _index_sum(pd for pd, _ in moved[i])
+    mean_dev = second_dev = np.float64(0.0)
+    for i in coords:
+        mean_dev = np.maximum(
+            mean_dev, np.abs(mean[i] - drift[i] * h2).max(initial=0.0))
+        for j in range(i, len(mean)):
             terms = [pd * d[j] for pd, d in moved[i] if d[j] != 0.0]
             dev = (_index_sum(terms) if terms else 0.0) - mean[i] * mean[j]
             if i == j == 0:
                 dev -= ssT * h2
             elif i > 0:
                 dev -= (v[i - 1] * v[j - 1]) * h2
-            np.maximum(second_dev, np.abs(dev), out=second_dev)
+            second_dev = np.maximum(second_dev,
+                                    np.abs(dev).max(initial=0.0))
     return mean_dev, second_dev
+
+
+def _belief_moments(lat: Lattice, rows: _BeliefRows) -> _BeliefMoments:
+    """The belief coordinates' share of every epoch's moment sweep.
+
+    Where an outcome of the catalog moves wealth and a belief coordinate
+    together, the belief moments change with the epoch, and each epoch's
+    sweep covers every coordinate.
+    """
+    disp = lat.displacements
+    n_coords = disp.shape[1]
+    belief = [(o, rows.raw[:, o - 3]) for o in range(3, lat.n_out)]
+    mean = [None] * n_coords
+    if np.any((disp[:, :1] != 0.0) & (disp[:, 1:] != 0.0)):
+        zero = np.float64(0.0)
+        return _BeliefMoments(tuple(range(n_coords)), belief, mean, zero, zero)
+    drift = [None] + [rows.qtil[:, i] for i in range(n_coords - 1)]
+    mean_dev, second_dev = _moment_maxima(
+        belief, disp, range(1, n_coords), mean, drift, None, rows.v,
+        lat.spec.h2)
+    for a in mean[1:]:
+        a.flags.writeable = False
+    return _BeliefMoments((0,), [], mean, mean_dev, second_dev)
 
 
 def consistency_sweep(model: RegimeModel, lat: Lattice, t: float,
                       u_arr: FloatArray, pi_arr: FloatArray) -> ConsistencyReport:
     """Worst-case moment deviations over all nodes and controls."""
-    mean_dev, second_dev = _moment_deviations(model, lat, t, u_arr, pi_arr)
-    return ConsistencyReport(mean_dev=float(mean_dev.max(initial=0.0)),
-                             second_dev=float(second_dev.max(initial=0.0)))
+    rows, w = _epoch_parts(model, lat, t, u_arr, pi_arr)
+    if rows.moments is None:
+        rows.moments = _belief_moments(lat, rows)
+    mom = rows.moments
+    drift = [w.bbar] + [rows.qtil[:, i] for i in range(model.m - 1)]
+    mean_dev, second_dev = _moment_maxima(
+        [(1, w.up), (2, w.down)] + mom.planes, lat.displacements,
+        mom.coords, list(mom.mean), drift, w.ssT, rows.v, lat.spec.h2)
+    return ConsistencyReport(
+        mean_dev=float(np.maximum(mean_dev, mom.mean_dev)),
+        second_dev=float(np.maximum(second_dev, mom.second_dev)))

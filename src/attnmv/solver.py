@@ -194,8 +194,12 @@ class StencilCache:
 
 
 def _select(probs: FloatArray, idx: np.ndarray) -> FloatArray:
-    """probs (n_c, n_out, n) selected per node -> (n_out, n)."""
-    return np.take_along_axis(probs, idx[None, None, :], axis=0)[0]
+    """probs (n_c, n_out, n) selected per node -> (n_out, n), C-contiguous.
+
+    The layout matters: the ``g`` einsum sums a transposed view in
+    another order.
+    """
+    return np.ascontiguousarray(probs[idx, :, np.arange(len(idx))].T)
 
 
 def step_back(model: RegimeModel, fields: SolutionFields, n: int,

@@ -419,24 +419,80 @@ def test_check_rejects_perturbed_generator(tmp_path):
     assert rc == 2
 
 
-def test_check_rejects_bad_path_count(tmp_path, capsys):
-    # an oracle input outside its domain exits with the configuration code
+def never_build_or_solve(monkeypatch):
+    """Spies on every build and solve; returns the list of their calls."""
+    import attnmv.cli
+    import attnmv.solver
+    calls = []
+
+    def spy(name):
+        def called(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called before the config check")
+        return called
+    monkeypatch.setattr(attnmv.cli, "solve", spy("solve"))
+    monkeypatch.setattr(attnmv.cli, "build_stencil_batch",
+                        spy("build_stencil_batch"))
+    monkeypatch.setattr(attnmv.solver, "build_stencil_batch",
+                        spy("build_stencil_batch"))
+    return calls
+
+
+def rejects_bad_path_count(command, tmp_path, capsys, monkeypatch):
+    calls = never_build_or_solve(monkeypatch)
     cfgp = short_config(tmp_path)
-    rc = main(["check", "--config", str(cfgp), "--paths", "1",
+    rc = main([command, "--config", str(cfgp), "--paths", "1",
                "--output-dir", str(tmp_path / "x")])
     assert rc == 2
     assert "n_paths >= 2" in capsys.readouterr().err
+    assert calls == []
 
 
-def test_check_rejects_negative_seed(tmp_path, capsys):
-    # rejected by the oracle's up-front check, not by numpy mid-run
+def rejects_negative_seed(command, tmp_path, capsys, monkeypatch):
+    calls = never_build_or_solve(monkeypatch)
     cfgp = short_config(tmp_path)
     out = tmp_path / "x"
-    rc = main(["check", "--config", str(cfgp), "--seed", "-1",
+    rc = main([command, "--config", str(cfgp), "--seed", "-1",
                "--paths", "10", "--output-dir", str(out)])
     assert rc == 2
     assert "seed must be a non-negative integer" in capsys.readouterr().err
-    assert not (out / "check_report.json").exists()
+    assert calls == []
+    assert not any(out.glob("*.json"))
+
+
+def test_check_rejects_bad_path_count(tmp_path, capsys, monkeypatch):
+    # an oracle input outside its domain exits with the configuration
+    # code when the config loads, before any stencil build or solve
+    rejects_bad_path_count("check", tmp_path, capsys, monkeypatch)
+
+
+def test_check_rejects_negative_seed(tmp_path, capsys, monkeypatch):
+    # rejected when the config loads, not by the oracle after the solve
+    # or by numpy mid-run
+    rejects_negative_seed("check", tmp_path, capsys, monkeypatch)
+
+
+def test_refine_rejects_bad_path_count(tmp_path, capsys, monkeypatch):
+    # refine used to solve its whole first rung before the chain oracle
+    # rejected the count
+    rejects_bad_path_count("refine", tmp_path, capsys, monkeypatch)
+
+
+def test_refine_rejects_negative_seed(tmp_path, capsys, monkeypatch):
+    rejects_negative_seed("refine", tmp_path, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n_paths", 1, "need n_paths >= 2, got 1"),
+    ("seed", -3, "seed must be a non-negative integer, got -3")])
+def test_load_config_rejects_oracle_domain(tmp_path, key, value, message):
+    with open(DEFAULT_CONFIG) as fh:
+        cfg = json.load(fh)
+    cfg["oracle"][key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
 
 
 def test_check_builds_each_epoch_once_per_pass(tmp_path, monkeypatch):

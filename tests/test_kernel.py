@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import attnmv.kernel
+import kernel_reference as ref
 from attnmv.errors import SchemeError
-from attnmv.kernel import (build_stencil_batch, consistency_sweep,
-                           _coefficients, _moment_deviations)
+from attnmv.kernel import (ConsistencyReport, build_stencil_batch,
+                           consistency_sweep)
 from attnmv.lattice import GridSpec, build_grid
 from attnmv.market import example_model
 from attnmv.solver import ControlGrid
@@ -43,7 +44,7 @@ def scalar_stencil_2regime(mdl, h1, h2, x, phi, u, pi, t=0.0):
 
 def one_control(mdl, lat, u, pi, t=0.0):
     """Raw tables of the single control ``(u, pi)``: row 0 of each output."""
-    probs, bbar, qtil, ssT, v = _coefficients(
+    probs, bbar, qtil, ssT, v, *_ = ref.coefficients(
         mdl, lat, t, np.array([u], dtype=float), np.array([pi], dtype=float))
     return probs[0], bbar[0], qtil, ssT[0], v[:, 0]
 
@@ -142,9 +143,11 @@ def test_frozen_dynamics_stay_one():
     p = law(mdl, lat, 42, [0.0], 1.0)
     assert p[0] == 1.0
     assert p.sum() == 1.0
-    mean_dev, second_dev = _moment_deviations(mdl, lat, 0.0, np.array([[0.0]]),
-                                              np.array([1.0]))
+    mean_dev, second_dev = ref.moment_deviations(
+        mdl, lat, 0.0, np.array([[0.0]]), np.array([1.0]))
     assert mean_dev[0, 42] == 0.0 and second_dev[0, 42] == 0.0
+    assert consistency_sweep(mdl, lat, 0.0, np.array([[0.0]]),
+                             np.array([1.0])) == ConsistencyReport(0.0, 0.0)
 
 
 def test_mass_exact_for_all_default_controls(default_model, default_lattice,
@@ -222,8 +225,8 @@ def test_three_regime_uninformative_signal_valid():
     p = law(mdl, lat, node, [1.0], 1.0)
     assert p.sum() == pytest.approx(1.0, abs=1e-10)
     assert np.all(p[7:] == 0.0)             # paired belief moves
-    mean_dev, second_dev = _moment_deviations(mdl, lat, 0.0, np.array([[1.0]]),
-                                              np.array([1.0]))
+    mean_dev, second_dev = ref.moment_deviations(
+        mdl, lat, 0.0, np.array([[1.0]]), np.array([1.0]))
     assert mean_dev[0, node] <= 1e-12
     assert second_dev[0, node] / (spec.h1 * spec.h2) <= 5.0
 
@@ -248,8 +251,8 @@ def test_three_regime_raw_closure_and_moments():
     mdl = three_regime_model()
     spec = GridSpec(h1=0.2, h2=0.001, x_min=0.0, x_max=4.0, n_steps=2000)
     lat = build_grid(spec, 3)
-    probs, bbar, qtil, ssT, v = _coefficients(mdl, lat, 0.0,
-                                              np.array([[1.0]]), np.array([2.0]))
+    probs, bbar, qtil, ssT, v, *_ = ref.coefficients(
+        mdl, lat, 0.0, np.array([[1.0]]), np.array([2.0]))
     probs, bbar, ssT, v = probs[0], bbar[0], ssT[0], v[:, 0]
     a = v.T[:, :, None] * v.T[:, None, :]                  # (n, mm, mm)
     np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-14)
@@ -275,8 +278,8 @@ def test_three_regime_near_vertex_cross_terms_valid():
     p = law(mdl, lat, node, [0.5], 0.05)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
     assert p[7:].max() > 0.0                # paired belief moves
-    md, sd = _moment_deviations(mdl, lat, 0.0, np.array([[0.5]]),
-                                np.array([0.05]))
+    md, sd = ref.moment_deviations(mdl, lat, 0.0, np.array([[0.5]]),
+                                   np.array([0.05]))
     assert md[0, node] <= 1e-12
     assert sd[0, node] <= 5 * spec.h1 * spec.h2
 
@@ -419,10 +422,10 @@ def test_shared_belief_rows_never_stale(m, default_spec, default_controls):
 def reference_deviations(mdl, lat, t, u_arr, pi_arr):
     """Moment deviations by a loop over (control, node) and the catalog.
 
-    Shares only the raw coefficients with the kernel: the moments are
-    Python sums over ``lat.displacements``.
+    Shares only the raw coefficients with the reference builder: the
+    moments are Python sums over ``lat.displacements``.
     """
-    probs, bbar, qtil, ssT, v = attnmv.kernel._coefficients(
+    probs, bbar, qtil, ssT, v, *_ = ref.coefficients(
         mdl, lat, t, u_arr, pi_arr)
     h2 = lat.spec.h2
     disp = lat.displacements.tolist()
@@ -455,8 +458,8 @@ def test_sweep_matches_reference_loop(m):
     mdl = piecewise_model(m)
     lat = build_grid(SMALL, m)
     for t in mdl.time_breaks[:2]:
-        mean_dev, second_dev = _moment_deviations(mdl, lat, float(t),
-                                                  SMALL_U, SMALL_PI)
+        mean_dev, second_dev = ref.moment_deviations(mdl, lat, float(t),
+                                                     SMALL_U, SMALL_PI)
         ref_mean, ref_second = reference_deviations(mdl, lat, float(t),
                                                     SMALL_U, SMALL_PI)
         np.testing.assert_allclose(mean_dev, ref_mean, rtol=0, atol=1e-17)
@@ -472,24 +475,35 @@ def test_sweep_matches_reference_loop(m):
                                          (3, 7, 9)])
 def test_sweep_sees_weight_moved_between_outcomes(m, src, dst, monkeypatch):
     # a law that keeps its mass but moves 1e-6 from one outcome to another
-    # has a one-step mean off by 2e-6 h1 along some coordinate
-    raw = attnmv.kernel._coefficients
+    # has a one-step mean off by 2e-6 h1 along some coordinate; the wealth
+    # outcomes reach the sweep per epoch, the belief outcomes once per
+    # lattice
+    def shifted(o, p):
+        return p - 1e-6 if o == src else p + 1e-6 if o == dst else p
 
-    def moved(*args):
+    maxima = attnmv.kernel._moment_maxima
+    raw = ref.coefficients
+
+    def moved_maxima(planes, *args):
+        return maxima([(o, shifted(o, p)) for o, p in planes], *args)
+
+    def moved_raw(*args):
         probs, *rest = raw(*args)
         probs[:, src] -= 1e-6
         probs[:, dst] += 1e-6
         return (probs, *rest)
 
-    monkeypatch.setattr(attnmv.kernel, "_coefficients", moved)
+    monkeypatch.setattr(attnmv.kernel, "_moment_maxima", moved_maxima)
+    monkeypatch.setattr(ref, "coefficients", moved_raw)
     mdl = piecewise_model(m)
     lat = build_grid(SMALL, m)
     rep = consistency_sweep(mdl, lat, 0.0, SMALL_U, SMALL_PI)
     assert rep.mean_dev > 1e-12
     assert rep.mean_dev == pytest.approx(2e-6 * SMALL.h1, rel=1e-6)
-    mean_dev, _ = _moment_deviations(mdl, lat, 0.0, SMALL_U, SMALL_PI)
-    ref_mean, _ = reference_deviations(mdl, lat, 0.0, SMALL_U, SMALL_PI)
-    np.testing.assert_allclose(mean_dev, ref_mean, rtol=1e-12, atol=1e-17)
+    ref_mean, ref_second = reference_deviations(mdl, lat, 0.0, SMALL_U,
+                                                SMALL_PI)
+    assert rep.mean_dev == pytest.approx(ref_mean.max(), rel=1e-12)
+    assert rep.second_dev == pytest.approx(ref_second.max(), rel=1e-12)
 
 
 @pytest.mark.parametrize("m, h2, u_max, pi_levels, fields, message", [
@@ -527,3 +541,114 @@ def test_strict_batch_error_pins(m, h2, u_max, pi_levels, fields, message):
     err = exc.value
     assert (err.control, err.node, err.entry, err.value, err.shrink) == fields
     assert str(err) == message
+
+
+# The split builder and sweep against the whole-law reference
+
+def split_model(m, d):
+    """``m`` regimes, ``d`` correlated assets, five coefficient epochs.
+
+    The riskfree rate and the drift change at every break, the volatility
+    only at the second and the fourth.
+    """
+    times = [0.0, 0.2, 0.4, 0.6, 0.8]
+    drift = [[0.08 - 0.02 * i + 0.01 * l for l in range(d)] for i in range(m)]
+
+    def vol(scale):
+        return [[[(0.2 + 0.1 * i) * scale if l == j else 0.05 * (l > j)
+                  for j in range(d)] for l in range(d)] for i in range(m)]
+
+    return example_model(
+        m=m, d=d, T=1.0,
+        generator=[[-1.0, 1.0], [1.5, -1.5]] if m == 2 else
+        [[-2.0, 1.0, 1.0], [0.5, -1.0, 0.5], [1.0, 1.5, -2.5]],
+        signal_levels=[0.0, 1.0] if m == 2 else [0.0, 1.0, 2.0],
+        riskfree={"times": times,
+                  "values": [[0.03 + 0.005 * k - 0.002 * i for i in range(m)]
+                             for k in range(5)]},
+        drift={"times": times,
+               "values": [[[v * (1.0 + 0.1 * k) for v in row] for row in drift]
+                          for k in range(5)]},
+        vol={"times": [0.0, 0.2, 0.6],
+             "values": [vol(1.0), vol(1.3), vol(0.8)]})
+
+
+def split_controls(d):
+    return ControlGrid.regular(d=d, u_max=2.0, du=1.0, pi_min=0.0,
+                               pi_max=2.0, n_pi=3).enumerate()
+
+
+def batch_bytes(builder, *args, **kwargs):
+    """A batch as bytes and floats, or the fields of the error it raises."""
+    try:
+        b = builder(*args, **kwargs)
+    except SchemeError as err:
+        return (str(err), err.node, err.control, err.entry, err.value,
+                err.shrink)
+    return (b.probs.tobytes(), b.valid.tobytes(),
+            np.array([b.max_mass, b.stay_residual]).tobytes())
+
+
+def report_bytes(rep):
+    return np.array([rep.mean_dev, rep.second_dev]).tobytes()
+
+
+def assert_matches_whole_law(mdl, lat, t, u_arr, pi_arr):
+    for strict in (False, True):
+        assert batch_bytes(build_stencil_batch, mdl, lat, t, u_arr, pi_arr,
+                           strict=strict) \
+            == batch_bytes(ref.build_stencil_batch, mdl, lat, t, u_arr,
+                           pi_arr, strict=strict)
+    assert report_bytes(consistency_sweep(mdl, lat, t, u_arr, pi_arr)) \
+        == report_bytes(ref.consistency_sweep(mdl, lat, t, u_arr, pi_arr))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("m", [2, 3])
+def test_split_build_and_sweep_match_whole_law(m, d):
+    mdl = split_model(m, d)
+    lat = build_grid(SMALL, m)
+    u_arr, pi_arr = split_controls(d)
+    masked = 0
+    for t in mdl.time_breaks:
+        assert_matches_whole_law(mdl, lat, float(t), u_arr, pi_arr)
+        masked += int((~build_stencil_batch(mdl, lat, float(t), u_arr,
+                                            pi_arr).valid).sum())
+    # three regimes with an informative signal mask laws, so the strict
+    # builds raise and the masked builds carry invalid pairs
+    assert (masked > 0) == (m == 3)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_volatility_term_never_stale(m):
+    # one lattice serves models that differ from the base only in the
+    # volatility, then only in the positions, each between two base runs
+    base = split_model(m, 2)
+    u_arr, pi_arr = split_controls(2)
+    lat = build_grid(SMALL, m)
+    runs = [(base, u_arr), (replace(base, vol=base.vol * 1.5), u_arr),
+            (base, u_arr), (base, u_arr[::-1] * 0.5), (base, u_arr)]
+    for mdl, u in runs:
+        for t in mdl.time_breaks:
+            assert_matches_whole_law(mdl, lat, float(t), u, pi_arr)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_sweep_covers_every_coordinate_on_a_mixed_catalog(m):
+    # where a wealth move also moves a belief coordinate, the belief
+    # moments change with the epoch, so each sweep covers them all
+    mdl = split_model(m, 1)
+    u_arr, pi_arr = split_controls(1)
+    lat = build_grid(SMALL, m)
+    plain = build_grid(SMALL, m)
+    disp = lat.displacements.copy()
+    disp[1, 1], disp[2, 1] = SMALL.h1, -SMALL.h1
+    lat.displacements = disp
+    for t in mdl.time_breaks:
+        got = consistency_sweep(mdl, lat, float(t), u_arr, pi_arr)
+        assert report_bytes(got) == report_bytes(
+            ref.consistency_sweep(mdl, lat, float(t), u_arr, pi_arr))
+        assert got.mean_dev > consistency_sweep(mdl, plain, float(t), u_arr,
+                                                pi_arr).mean_dev
+    assert attnmv.kernel._ROWS[lat][1].moments.coords == tuple(range(m))
+    assert attnmv.kernel._ROWS[plain][1].moments.coords == (0,)

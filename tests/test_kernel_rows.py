@@ -1,4 +1,5 @@
-"""Row ``c`` of a control batch is the one-control build of control ``c``."""
+"""Row ``c`` of a control batch is the one-control build of control ``c``,
+and the batch's moment report is the worst of the one-control reports."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from attnmv.kernel import _moment_deviations, build_stencil_batch  # noqa: E402
+from attnmv.kernel import (  # noqa: E402
+    ConsistencyReport, build_stencil_batch, consistency_sweep)
 from attnmv.lattice import GridSpec, build_grid  # noqa: E402
 from attnmv.market import example_model  # noqa: E402
 
@@ -44,14 +46,15 @@ def test_batch_row_is_one_control_build(data, m, d, t):
     pi_arr = np.array([pi for _, pi in controls])
     mdl, lat = _model(m, d), build_grid(SPEC, m)
     full = build_stencil_batch(mdl, lat, t, u_arr, pi_arr)
-    mean_dev, second_dev = _moment_deviations(mdl, lat, t, u_arr, pi_arr)
+    rep = consistency_sweep(mdl, lat, t, u_arr, pi_arr)
+    ones = []
     for ci in range(len(pi_arr)):
         one = build_stencil_batch(mdl, lat, t, u_arr[ci:ci + 1],
                                   pi_arr[ci:ci + 1])
         for name in ("probs", "valid"):
             assert getattr(one, name)[0].tobytes() == \
                 getattr(full, name)[ci].tobytes()
-        md, sd = _moment_deviations(mdl, lat, t, u_arr[ci:ci + 1],
-                                    pi_arr[ci:ci + 1])
-        assert md[0].tobytes() == mean_dev[ci].tobytes()
-        assert sd[0].tobytes() == second_dev[ci].tobytes()
+        ones.append(consistency_sweep(mdl, lat, t, u_arr[ci:ci + 1],
+                                      pi_arr[ci:ci + 1]))
+    assert rep == ConsistencyReport(max(r.mean_dev for r in ones),
+                                    max(r.second_dev for r in ones))

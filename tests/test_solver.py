@@ -10,8 +10,8 @@ from attnmv.kernel import build_stencil_batch
 from attnmv.lattice import GridSpec, build_grid
 from attnmv.market import compose_objective, example_model
 from attnmv.solver import (ControlGrid, SolutionFields, StencilCache,
-                           _candidates, g_residuals, ratio_policy, solve,
-                           spike_margins, step_back)
+                           _candidates, _select, g_residuals, ratio_policy,
+                           solve, spike_margins, step_back)
 
 
 def frozen_model():
@@ -476,3 +476,18 @@ def test_solve_memory_does_not_grow_with_epochs():
     field_bytes = sum(a.nbytes for a in (fields.V, fields.g, fields.policy,
                                          fields.clamped_mass))
     assert peak < field_bytes + 3 * (batch.probs.nbytes + batch.valid.nbytes)
+
+
+def test_select_matches_take_along_axis():
+    # the selected laws are C-contiguous: the g einsum over a transposed
+    # view sums in another order
+    rng = np.random.default_rng(5)
+    for n_c, n_out, n in [(1, 5, 1), (3, 5, 7), (24, 15, 135)]:
+        probs = rng.random((n_c, n_out, n))
+        for dtype in (np.int64, np.int32):
+            idx = rng.integers(n_c, size=n).astype(dtype)
+            got = _select(probs, idx)
+            want = np.take_along_axis(probs, idx[None, None, :], axis=0)[0]
+            assert got.flags.c_contiguous
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
