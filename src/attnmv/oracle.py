@@ -7,15 +7,12 @@ Two simulators cross-check the backward recursion:
   independent Brownian increments).  Its own drift code sums regimes,
   then positions, in index order on length-B path arrays, with no BLAS
   product or einsum;
-* ``simulate_chain`` walks the discrete chain with the exact transition
-  stencils under the stored policy, so the sample mean of terminal wealth
-  estimates the auxiliary function ``g`` at the start node.  Outcome 0
-  is the stay, so a path moves only at a step where its draw passes its
-  node's stay weight.  The walk scans blocks of ``_BLOCK`` slices: one
-  comparison per block finds each path's first move, and only the paths
-  that moved are scanned again, after the move, against their new node.
-  Besides its streams, a worker holds one epoch's cumulative weights and
-  ``O(_BLOCK * n_nodes * n_out)`` block entries, whatever the horizon.
+* ``simulate_chain`` carries the approximating chain's exact terminal
+  law forward under the stored policy, one slice at a time, and samples
+  it: each path takes one uniform and ends at the inverse cumulative law
+  at it, so the sample mean estimates the auxiliary function ``g`` at the
+  start node.  The law itself holds ``g`` exactly; the samples keep the
+  Monte-Carlo summary and the per-path terminal wealth of the artifacts.
 
 ``marginal_check`` validates the belief simulation alone against the
 matrix exponential of the generator transpose: the belief mean follows
@@ -37,8 +34,8 @@ or one batch); ~150 MB of streams are in flight in all, and results
 return in path order.
 
 Every input from outside is checked once, before the first stream is
-drawn; the step loops do not re-check the belief, which each step's
-projection keeps on the simplex.
+drawn or the chain's first batch is built; the step loops do not re-check
+the belief, which each step's projection keeps on the simplex.
 """
 
 from __future__ import annotations
@@ -46,14 +43,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass
-from itertools import groupby
 
 import numpy as np
 
 from .errors import DomainError
 from .filtering import check_attention, check_belief, filter_step, full_belief
 from .market import FloatArray, RegimeModel, compose_objective
-from .solver import SolutionFields, StencilCache
+from .solver import SolutionFields, StencilCache, _select
 
 
 @dataclass
@@ -202,6 +198,18 @@ def _run_batch(first: int):
 _MAX_BATCH = 8192
 
 
+def _check_paths(n_paths: int, seed: int) -> None:
+    """Reject a path count or seed that ``_walk_paths`` cannot run."""
+    if n_paths < 2:
+        raise DomainError(f"need n_paths >= 2, got {n_paths}")
+    if (not isinstance(seed, (int, np.integer)) or isinstance(seed, bool)
+            or seed < 0):
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    if n_paths > 1 << 32:
+        raise DomainError(f"path indices must stay below 2**32, got {n_paths} "
+                          "paths")
+
+
 def _walk_paths(walk, n_paths: int, seed: int, shape: tuple,
                 draw: str) -> list:
     """``walk(streams)`` per batch of paths, in path order.
@@ -216,14 +224,7 @@ def _walk_paths(walk, n_paths: int, seed: int, shape: tuple,
     everything it reads, and only path indices and results are pickled.
     Otherwise the batches run here, one after another.
     """
-    if n_paths < 2:
-        raise DomainError(f"need n_paths >= 2, got {n_paths}")
-    if (not isinstance(seed, (int, np.integer)) or isinstance(seed, bool)
-            or seed < 0):
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    if n_paths > 1 << 32:
-        raise DomainError(f"path indices must stay below 2**32, got {n_paths} "
-                          "paths")
+    _check_paths(n_paths, seed)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else 1
     cap = min(_MAX_BATCH,
@@ -348,22 +349,42 @@ def simulate_sde(model: RegimeModel, policy, t0: float, x0: float,
     return summarize(terminal, model, sum(n for _, n in parts) / n_paths)
 
 
-# Slices per block of the chain walk; a block's tables hold
-# O(_BLOCK * n_nodes * n_out) entries whatever the horizon.
-_BLOCK = 128
+def _chain_law(fields: SolutionFields, start_node: int,
+               cache: StencilCache) -> tuple[FloatArray, FloatArray]:
+    """The chain's exact terminal law from ``start_node``: ``(clear, hit)``.
+
+    Both are (n_nodes,): the probability of ending at each node without
+    ever occupying a wealth-edge node, and the same for the paths that did
+    (the start node counts).  One forward pass over the slices in time
+    order, so ``cache`` builds each epoch once.
+    """
+    lat = fields.lat
+    edge = (lat.ix == 0) | (lat.ix == lat.n_x - 1)
+    to = lat.neighbors.ravel()
+    clear, hit = np.zeros(lat.n_nodes), np.zeros(lat.n_nodes)
+    (hit if edge[start_node] else clear)[start_node] = 1.0
+    for n in range(fields.spec.n_steps):
+        batch = cache.batch(fields.time_of(n))
+        sel = _select(batch.probs, fields.policy[n]).T    # (n_nodes, n_out)
+        clear, hit = (np.bincount(to, (sel * p[:, None]).ravel(), lat.n_nodes)
+                      for p in (clear, hit))
+        hit[edge] += clear[edge]
+        clear[edge] = 0.0
+    return clear, hit
 
 
 def simulate_chain(model: RegimeModel, fields: SolutionFields, start_node: int,
                    n_paths: int, seed: int, *, terminal_csv=None,
                    cache: StencilCache | None = None) -> McSummary:
-    """Simulate the approximating chain under the stored feedback policy.
+    """Sample the chain's terminal wealth under the stored feedback policy.
 
-    Uses the exact one-step stencils, so the expected terminal wealth
-    equals ``g`` at the start node by construction.  ``boundary_hits`` is
-    the fraction of paths that ever occupy a wealth-boundary node.  A
-    lent ``cache`` holds one epoch's batch, so it saves the chain at most
-    that one build.  The chain collects every epoch's batch before the
-    workers fork and holds them all while it runs.
+    ``_chain_law`` gives the chain's exact terminal law, so its mean is
+    ``g`` at the start node up to roundoff.  Path ``i`` draws the first
+    uniform of its stream and takes the (node, hit) outcome at which the
+    law's cumulative sum passes it: the same distribution as a walk of
+    the chain, from one draw per path.  ``boundary_hits`` is the fraction
+    of paths that ever occupy a wealth-edge node.  A lent ``cache`` saves
+    the first build when it holds the first slice's epoch.
     """
     lat = fields.lat
     if (not isinstance(start_node, (int, np.integer))
@@ -371,62 +392,23 @@ def simulate_chain(model: RegimeModel, fields: SolutionFields, start_node: int,
             or not 0 <= start_node < lat.n_nodes):
         raise DomainError(f"start_node must be an integer in [0, "
                           f"{lat.n_nodes}), got {start_node!r}")
-    N = fields.spec.n_steps
+    _check_paths(n_paths, seed)
     if cache is None:
         cache = StencilCache(model, lat, fields.grid)
-    # each slice's coefficient epoch; every epoch's batch is built here,
-    # before any fork
-    epoch_of = [model.epoch_of(fields.time_of(n)) for n in range(N)]
-    batches = {e: cache.batch(fields.time_of(n))
-               for n, e in enumerate(epoch_of)}
-    on_x_boundary = (lat.ix == 0) | (lat.ix == lat.n_x - 1)
-    cols = np.arange(lat.n_nodes)
-    to_of = lat.neighbors.ravel()
-    steps = np.arange(_BLOCK)
+    law = np.concatenate(_chain_law(fields, start_node, cache))
+    cdf = np.cumsum(law)
 
+    # a uniform is below 1, so its product with the total rounds below it
+    # and the search never passes the last outcome; an outcome without
+    # mass is never taken
     def walk(uni):
-        nodes = np.full(len(uni), int(start_node), dtype=np.int64)
-        hit = on_x_boundary[nodes]
-        held = cum = None
-        for b0 in range(0, N, _BLOCK):
-            b1 = min(b0 + _BLOCK, N)
-            # thr[j, node]: the cumulative weights (n_out - 1,) of slice
-            # b0 + j, added in outcome order as the per-slice cumsum adds
-            # them; nondecreasing as the body weights are >= 0, so the
-            # count below a draw is its capped outcome.  One cumulative
-            # table per epoch serves all its slices.
-            parts = []
-            for e, ns in groupby(range(b0, b1), epoch_of.__getitem__):
-                if e != held:
-                    held, cum = e, np.cumsum(batches[e].probs[:, :-1], axis=1)
-                parts.append(cum[fields.policy[list(ns)], :, cols])
-            thr = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            stay = np.ascontiguousarray(thr[:, :, 0].T)
-            blk = uni[:, b0:b1]
-            # outcome 0 stays put: a path moves only at the steps where
-            # its draw passes the stay weight of the node it is on
-            leave = stay[nodes] < blk
-            rows = np.flatnonzero(leave.any(axis=1))
-            leave = leave[rows]
-            while len(rows):
-                j = leave.argmax(axis=1)
-                u = blk[rows, j]
-                at = nodes[rows]
-                to = to_of[at * lat.n_out + 1
-                           + (thr[j, at, 1:] < u[:, None]).sum(axis=1)]
-                nodes[rows] = to
-                hit[rows] |= on_x_boundary[to]
-                # scan the steps after the move against the new node
-                leave = (stay[to] < blk[rows]) & (steps[:b1 - b0] > j[:, None])
-                more = leave.any(axis=1)
-                rows, leave = rows[more], leave[more]
-        return lat.x[nodes], int(hit.sum())
+        return np.searchsorted(cdf, uni[:, 0] * cdf[-1], side="right")
 
-    parts = _walk_paths(walk, n_paths, seed, (N,), "random")
-    terminal = np.concatenate([x for x, _ in parts])
+    k = np.concatenate(_walk_paths(walk, n_paths, seed, (1,), "random"))
+    terminal = lat.x[k % lat.n_nodes]
     if terminal_csv is not None:
         write_terminal_csv(terminal_csv, terminal)
-    return summarize(terminal, model, sum(n for _, n in parts) / n_paths)
+    return summarize(terminal, model, (k >= lat.n_nodes).sum() / n_paths)
 
 
 def _expm(a: FloatArray) -> FloatArray:

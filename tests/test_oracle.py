@@ -14,7 +14,7 @@ from scipy.linalg import expm
 from attnmv.errors import DomainError
 from attnmv.lattice import GridSpec, build_grid
 from attnmv.market import example_model
-from attnmv.oracle import (ConstantPolicy, FeedbackPolicy, _expm,
+from attnmv.oracle import (ConstantPolicy, FeedbackPolicy, _chain_law, _expm,
                            _path_streams, marginal_check, simulate_chain,
                            simulate_sde, summarize, write_terminal_csv)
 from attnmv.solver import ControlGrid, StencilCache, solve
@@ -470,15 +470,17 @@ def test_worker_errors_reach_the_caller():
                                                 (2**32 + 1, 64)])
 def test_oracles_reject_bad_counts_up_front(short_fields, monkeypatch,
                                             n_paths, max_batch):
-    # rejected before any path is drawn, also in batches of 64 paths:
-    # n_paths=0 gave NaN means, and the chain and SDE simulated every path
-    # before the summary raised; a path index must fit the one entropy word
+    # rejected before any path is drawn or the chain's law is built, also
+    # in batches of 64 paths: n_paths=0 gave NaN means, the chain and SDE
+    # simulated every path before the summary raised, and the chain built
+    # every epoch's batch first; a path index must fit the one entropy word
     # the seeding handles
     mdl, spec, fields = short_fields
 
     def no_streams(*args):
-        raise AssertionError("a path was simulated")
+        raise AssertionError("a path was simulated or a batch built")
     monkeypatch.setattr("attnmv.oracle._path_streams", no_streams)
+    monkeypatch.setattr("attnmv.solver.StencilCache.batch", no_streams)
     monkeypatch.setattr(MAX_BATCH, max_batch)
     start = int(fields.lat.index_of(10, np.array([1])))
     with pytest.raises(DomainError):
@@ -545,13 +547,14 @@ def test_marginal_rejects_bad_attention_up_front(monkeypatch, pi):
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
 def test_oracles_reject_bad_seed_up_front(short_fields, monkeypatch, seed):
-    # numpy raised only when the first stream was seeded; True passed the
-    # integer check as 1
+    # numpy raised only when the first stream was seeded, and the chain
+    # built every epoch's batch first; True passed the integer check as 1
     mdl, spec, fields = short_fields
 
     def no_streams(*args):
-        raise AssertionError("a path was simulated")
+        raise AssertionError("a path was simulated or a batch built")
     monkeypatch.setattr("attnmv.oracle._path_streams", no_streams)
+    monkeypatch.setattr("attnmv.solver.StencilCache.batch", no_streams)
     start = int(fields.lat.index_of(10, np.array([1])))
     with pytest.raises(DomainError, match="seed"):
         simulate_chain(mdl, fields, start, 10, seed=seed)
@@ -596,7 +599,8 @@ def test_path_streams_equal_default_rng(seed, first, draw, shape):
 # Exact pins, recorded before the oracles' step loops were rewritten for
 # speed: a change to any path stream or to the step arithmetic moves them.
 # The policies are forced or constant, so a change to the backward
-# recursion leaves them alone.
+# recursion leaves them alone.  The chain's pins were re-recorded when it
+# began to sample its exact law with one uniform per path.
 
 @pytest.fixture
 def pin_fields():
@@ -623,30 +627,27 @@ def test_chain_summary_pins(pin_fields, monkeypatch):
     monkeypatch.setattr(MAX_BATCH, 1000)
     mc = simulate_chain(mdl, fields, mid, 3000, seed=31)
     assert mc.to_dict() == {
-        "n_paths": 3000, "mean_XT": 1.9667333333333337,
-        "var_XT": 0.026106662222222226, "objective": -0.4655766711111112,
-        "se_mean": 0.002949952667542437, "se_var": 0.0008832292339946013,
+        "n_paths": 3000, "mean_XT": 1.9712,
+        "var_XT": 0.02615722666666668, "objective": -0.4666427733333333,
+        "se_mean": 0.0029528080797023635, "se_var": 0.0009004635051709925,
         "boundary_hits": 0.0}
     mc = simulate_chain(mdl, fields, edge, 2000, seed=32)
     assert mc.to_dict() == {
-        "n_paths": 2000, "mean_XT": 3.7285999999999997,
-        "var_XT": 0.027782039999999987, "objective": -0.90436796,
-        "se_mean": 0.0037270658700913773, "se_var": 0.0009771450797485478,
-        "boundary_hits": 0.162}
+        "n_paths": 2000, "mean_XT": 3.7358999999999996,
+        "var_XT": 0.02663118999999999, "objective": -0.9073438099999999,
+        "se_mean": 0.003649053986994437, "se_var": 0.0011871367395408982,
+        "boundary_hits": 0.151}
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_chain_outcome_zero_is_the_stay(m):
-    # simulate_chain moves only the paths past outcome 0's threshold, so
-    # outcome 0 must lead every node back to itself
+    # the kernel closes each law's mass in outcome 0, the stay, so outcome
+    # 0 must lead every node back to itself
     lat = build_grid(GridSpec(h1=0.2, h2=0.001, x_min=0.0, x_max=4.0,
                               n_steps=1), m)
     np.testing.assert_array_equal(lat.neighbors[:, 0],
                                   np.arange(lat.n_nodes))
 
-
-# Pins recorded before the chain began to move only the paths that leave
-# their node.
 
 def test_chain_high_motion_pin(monkeypatch):
     # h2 near the step-size limit of u=2, pi=2: the stay weight is 0.16 at
@@ -663,9 +664,9 @@ def test_chain_high_motion_pin(monkeypatch):
     monkeypatch.setattr(MAX_BATCH, 1500)
     mc = simulate_chain(mdl, fields, start, 4000, seed=41)
     assert mc.to_dict() == {
-        "n_paths": 4000, "mean_XT": 1.7533500000000002,
-        "var_XT": 0.17057377750000002, "objective": -0.2677637225,
-        "se_mean": 0.006530194819069336, "se_var": 0.0038001449978100174,
+        "n_paths": 4000, "mean_XT": 1.77,
+        "var_XT": 0.17012, "objective": -0.27238,
+        "se_mean": 0.006521502894272148, "se_var": 0.0037916996057177324,
         "boundary_hits": 0.0}
 
 
@@ -676,9 +677,9 @@ def test_chain_boundary_start_pin(pin_fields):
     corner = int(fields.lat.index_of(0, np.array([5])))
     mc = simulate_chain(mdl, fields, corner, 2000, seed=43)
     assert mc.to_dict() == {
-        "n_paths": 2000, "mean_XT": 0.0234,
-        "var_XT": 0.004572440000000002, "objective": -0.001277559999999998,
-        "se_mean": 0.0015120251320662635, "se_var": 0.00031072042883080605,
+        "n_paths": 2000, "mean_XT": 0.0238,
+        "var_XT": 0.0045135600000000015, "objective": -0.001436439999999999,
+        "se_mean": 0.0015022583000269963, "se_var": 0.00028898226978968806,
         "boundary_hits": 1.0}
 
 
@@ -748,12 +749,13 @@ def test_marginal_report_pins(monkeypatch):
                                                0.22638506850418322)
 
 
-# The block walk of simulate_chain against the per-step walk it replaced:
-# one slice at a time, every path compared with its node's stay weight.
+# The chain's law against two references built here: a dense per-slice
+# recursion over the (node, hit) chain, and a walk of the chain one slice
+# at a time, every path compared with its node's stay weight.
 
 def _per_step_chain(model, fields, start, n_paths, seed):
-    """Terminal wealth, boundary hits and the most moves of one path in one
-    block of 128 slices; one slice at a time, paths drawn by default_rng."""
+    """Terminal wealth and boundary hits of a walk of the chain, one slice
+    at a time; path ``i`` draws ``default_rng([seed, i])``."""
     lat, N = fields.lat, fields.spec.n_steps
     cache = StencilCache(model, lat, fields.grid)
     uni = np.stack([np.random.default_rng([seed, i]).random(N)
@@ -761,8 +763,6 @@ def _per_step_chain(model, fields, start, n_paths, seed):
     on_x_boundary = (lat.ix == 0) | (lat.ix == lat.n_x - 1)
     nodes = np.full(n_paths, start, dtype=np.int64)
     hit = on_x_boundary[nodes]
-    moves = np.zeros(n_paths, dtype=np.int64)
-    most = 0
     for n in range(N):
         probs = cache.batch(fields.time_of(n)).probs
         sel = np.take_along_axis(probs, fields.policy[n][None, None, :],
@@ -777,11 +777,29 @@ def _per_step_chain(model, fields, start, n_paths, seed):
         to = lat.neighbors.ravel()[flat]
         nodes[moving] = to
         hit[moving] |= on_x_boundary[to]
-        moves[moving] += 1
-        if n % 128 == 127 or n == N - 1:
-            most = max(most, int(moves.max()))
-            moves[:] = 0
-    return lat.x[nodes], int(hit.sum()), most
+    return lat.x[nodes], int(hit.sum())
+
+
+def _dense_law(model, fields, start):
+    """The law over the 2n states (node, hit) after the last slice, from a
+    dense (2n, 2n) transition matrix per slice."""
+    lat = fields.lat
+    n = lat.n_nodes
+    edge = (lat.ix == 0) | (lat.ix == lat.n_x - 1)
+    cache = StencilCache(model, lat, fields.grid)
+    law = np.zeros(2 * n)
+    law[start + n * edge[start]] = 1.0
+    rows = np.repeat(np.arange(n), lat.n_out)
+    dest = lat.neighbors.ravel()
+    for k in range(fields.spec.n_steps):
+        probs = cache.batch(fields.time_of(k)).probs
+        w = probs[fields.policy[k], :, np.arange(n)].ravel()  # (n * n_out,)
+        P = np.zeros((2 * n, 2 * n))
+        # clear -> clear, or -> hit on landing at an edge node; hit -> hit
+        np.add.at(P, (rows, dest + n * edge[dest]), w)
+        np.add.at(P, (rows + n, dest + n), w)
+        law = law @ P
+    return law[:n], law[n:]
 
 
 def _mixed_policy(fields, controls):
@@ -789,6 +807,17 @@ def _mixed_policy(fields, controls):
     n_nodes, N = fields.lat.n_nodes, fields.spec.n_steps
     pick = ((7 * np.arange(n_nodes))[None, :] + np.arange(N)[:, None])
     return np.asarray(controls)[pick % len(controls)]
+
+
+def _force_policy(model, fields, policy):
+    """Store ``policy`` in ``fields`` and propagate ``g`` backward under it."""
+    fields.policy[:] = policy
+    cache = StencilCache(model, fields.lat, fields.grid)
+    nodes = np.arange(fields.lat.n_nodes)
+    for n in reversed(range(fields.spec.n_steps)):
+        probs = cache.batch(fields.time_of(n)).probs
+        fields.g[n] = (probs[fields.policy[n], :, nodes]
+                       * fields.g[n + 1][fields.lat.neighbors]).sum(axis=1)
 
 
 def _solved(model, h2, n_steps, cg=None):
@@ -801,8 +830,7 @@ def _solved(model, h2, n_steps, cg=None):
 
 
 def _epoch_model():
-    # breaks at slices 50, 100, 170 and 299: three inside the first two
-    # blocks of 128 slices, the last on the final slice
+    # breaks at slices 50, 100, 170 and 299, the last on the final slice
     return example_model(
         T=0.3, riskfree={"times": [0.0, 0.05, 0.17],
                          "values": [[0.03, 0.03], [0.05, 0.01],
@@ -812,26 +840,26 @@ def _epoch_model():
                           [[0.06], [0.05]]]})
 
 
-def _block_cases():
-    """(name, model, fields, start node, paths, fewest moves in a block)."""
+def _law_cases():
+    """(name, model, fields, start node, paths)."""
     out = []
     mdl = _epoch_model()
     assert len(mdl.time_breaks) == 5
-    fields = _solved(mdl, 0.001, 300)           # 300 = 2 * 128 + 44 slices
-    fields.policy[:] = _mixed_policy(fields, range(25))
+    fields = _solved(mdl, 0.001, 300)
+    _force_policy(mdl, fields, _mixed_policy(fields, range(25)))
     mid = int(fields.lat.index_of(10, np.array([1])))
-    out.append(("epochs-300-slices", mdl, fields, mid, 300, 2))
+    out.append(("epochs-300-slices", mdl, fields, mid, 300))
     mdl = example_model(T=0.05)
-    fields = _solved(mdl, 0.001, 50)            # one block, shorter than 128
-    fields.policy[:] = _mixed_policy(fields, range(25))
-    out.append(("50-slices", mdl, fields, mid, 257, 1))
+    fields = _solved(mdl, 0.001, 50)
+    _force_policy(mdl, fields, _mixed_policy(fields, range(25)))
+    out.append(("50-slices", mdl, fields, mid, 257))
     corner = int(fields.lat.index_of(0, np.array([5])))
-    out.append(("wealth-boundary-start", mdl, fields, corner, 300, 1))
+    out.append(("wealth-boundary-start", mdl, fields, corner, 300))
     mdl = example_model(T=0.36)                 # test_chain_high_motion_pin
     fields = _solved(mdl, 0.036, 10)
-    fields.policy[:] = 24
+    _force_policy(mdl, fields, 24)
     out.append(("high-motion", mdl, fields,
-                int(fields.lat.index_of(10, np.array([0]))), 400, 5))
+                int(fields.lat.index_of(10, np.array([0]))), 400))
     # informative signals: only the controls with pi = 0 (0, 3 and 6) have
     # a valid law at every node
     mdl = _three_regimes(T=0.05)
@@ -839,66 +867,149 @@ def _block_cases():
         u_levels=[[0.0], [1.0], [2.0]], pi_levels=[0.0, 0.5, 2.0]))
     assert StencilCache(mdl, fields.lat, fields.grid).batch(0.0).valid[
         [0, 3, 6]].all()
-    fields.policy[:] = _mixed_policy(fields, [0, 3, 6])
+    _force_policy(mdl, fields, _mixed_policy(fields, [0, 3, 6]))
     out.append(("three-regimes", mdl, fields,
-                int(fields.lat.index_of(10, np.array([1, 2]))), 300, 1))
+                int(fields.lat.index_of(10, np.array([1, 2]))), 300))
     return out
 
 
+LAW_CASES = ["epochs-300-slices", "50-slices", "wealth-boundary-start",
+             "high-motion", "three-regimes"]
+
+
 @pytest.fixture(scope="module")
-def block_cases():
-    return {case[0]: case[1:] for case in _block_cases()}
+def law_cases():
+    return {case[0]: case[1:] for case in _law_cases()}
 
 
-@pytest.mark.parametrize("name", ["epochs-300-slices", "50-slices",
-                                  "wealth-boundary-start", "high-motion",
-                                  "three-regimes"])
-def test_block_walk_matches_per_step_walk(block_cases, tmp_path, monkeypatch,
-                                          name):
-    mdl, fields, start, n_paths, fewest = block_cases[name]
-    x, hits, most = _per_step_chain(mdl, fields, start, n_paths, seed=19)
-    # the case moves as intended: several times in a block where it should
-    assert most >= fewest
+@pytest.mark.parametrize("name", LAW_CASES)
+def test_chain_law_matches_dense_recursion(law_cases, name):
+    mdl, fields, start, _ = law_cases[name]
+    lat = fields.lat
+    clear, hit = _chain_law(fields, start,
+                            StencilCache(mdl, lat, fields.grid))
+    want_clear, want_hit = _dense_law(mdl, fields, start)
+    np.testing.assert_allclose(clear, want_clear, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(hit, want_hit, rtol=0, atol=1e-13)
+    assert abs((clear + hit).sum() - 1.0) <= 1e-13
+    assert abs((clear + hit) @ lat.x - fields.g[0][start]) <= 1e-12
+    edge = (lat.ix == 0) | (lat.ix == lat.n_x - 1)
+    assert not clear[edge].any()
     if name == "wealth-boundary-start":
-        assert hits == n_paths
+        assert not clear.any()
+    else:
+        assert clear.sum() > 0.5
+
+
+@pytest.mark.parametrize("name", LAW_CASES)
+def test_chain_law_matches_a_walk_of_the_chain(law_cases, name):
+    # the walk's mean within 4 standard errors of the exact mean, and its
+    # hit fraction within 4 binomial standard errors of the exact one
+    mdl, fields, start, n_paths = law_cases[name]
+    lat = fields.lat
+    clear, hit = _chain_law(fields, start,
+                            StencilCache(mdl, lat, fields.grid))
+    law = clear + hit
+    mean = law @ lat.x
+    var = law @ (lat.x - mean) ** 2
+    p_hit = hit.sum()
+    x, hits = _per_step_chain(mdl, fields, start, n_paths, seed=19)
+    assert var > 0.0
+    assert abs(x.mean() - mean) <= 4.0 * math.sqrt(var / n_paths)
+    assert abs(hits / n_paths - p_hit) <= 4.0 * math.sqrt(
+        p_hit * (1.0 - p_hit) / n_paths) + 1e-12
+
+
+@pytest.mark.parametrize("name", LAW_CASES)
+def test_chain_samples_the_law_by_inverse_cdf(law_cases, tmp_path,
+                                              monkeypatch, name):
+    # path i ends at the inverse CDF of the (node, hit) law at the first
+    # uniform of default_rng([seed, i]), in two or more batches of paths
+    mdl, fields, start, n_paths = law_cases[name]
+    lat = fields.lat
+    law = np.concatenate(_chain_law(fields, start,
+                                    StencilCache(mdl, lat, fields.grid)))
+    cdf = np.cumsum(law)
+    u = np.array([np.random.default_rng([19, i]).random()
+                  for i in range(n_paths)])
+    k = np.searchsorted(cdf, u * cdf[-1], side="right")
+    x = lat.x[k % lat.n_nodes]
     want = tmp_path / "want.csv"
     write_terminal_csv(want, x)
     got = tmp_path / "got.csv"
     monkeypatch.setattr(MAX_BATCH, 150)
     mc = simulate_chain(mdl, fields, start, n_paths, seed=19, terminal_csv=got)
-    assert mc == summarize(x, mdl, hits / n_paths)
+    assert mc == summarize(x, mdl, int((k >= lat.n_nodes).sum()) / n_paths)
     assert got.read_bytes() == want.read_bytes()
 
 
+def test_chain_builds_each_epoch_once_in_time_order(law_cases, monkeypatch):
+    # the forward pass reads the slices in time order through a cache that
+    # holds one epoch, so it builds each epoch once and holds one at a time
+    import attnmv.solver
+    mdl, fields, start, _ = law_cases["epochs-300-slices"]
+    built, held = [], []
+    build = attnmv.solver.build_stencil_batch
+    batch = StencilCache.batch
+
+    def counted(*args, **kwargs):
+        built.append(args[2])
+        return build(*args, **kwargs)
+
+    def holding(self, t):
+        out = batch(self, t)
+        held.append(len(self.batches))
+        return out
+    monkeypatch.setattr(attnmv.solver, "build_stencil_batch", counted)
+    monkeypatch.setattr(StencilCache, "batch", holding)
+    simulate_chain(mdl, fields, start, 10, seed=1)
+    assert built == mdl.time_breaks.tolist()
+    assert len(held) == fields.spec.n_steps and max(held) == 1
+    # a lent cache that holds the first epoch saves its build
+    cache = StencilCache(mdl, fields.lat, fields.grid)
+    cache.batch(0.0)
+    built.clear()
+    simulate_chain(mdl, fields, start, 10, seed=1, cache=cache)
+    assert built == mdl.time_breaks.tolist()[1:]
+
+
+def _chain_peak(n_steps):
+    """Peak traced bytes of a 300-path chain run over ``n_steps`` slices,
+    in this process, with the solve's cache lent, and the bytes of the
+    (slices, n_out - 1, n_nodes) float64 threshold table that the chain
+    once built for the whole horizon."""
+    mdl = example_model(T=n_steps * 1e-3)
+    spec = GridSpec(h1=0.2, h2=1e-3, x_min=0.0, x_max=4.0, n_steps=n_steps)
+    cg = ControlGrid.regular(d=1, u_max=2.0, du=0.5,
+                             pi_min=mdl.attention_min,
+                             pi_max=mdl.attention_max, n_pi=5)
+    cache = StencilCache(mdl, build_grid(spec, mdl.m), cg)
+    fields = solve(mdl, spec, cg, cache=cache)
+    lat = fields.lat
+    start = int(lat.index_of(10, np.array([1])))
+    tracemalloc.start()
+    try:
+        simulate_chain(mdl, fields, start, 300, seed=1, cache=cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, n_steps * (lat.n_out - 1) * lat.n_nodes * 8
+
+
 def test_chain_memory_stays_below_the_slice_table():
-    # The walk holds its paths' uniforms and tables for one block of slices.
-    # Bound: the streams (paths x slices x 8 bytes) plus a quarter of the
-    # (slices, n_out - 1, n_nodes) float64 threshold table that the chain
-    # used to build for the whole horizon before its first path: 6.8 MB
-    # here, against 6.2 MB measured and 19.0 MB with the whole-horizon table.
+    # The pass holds two law vectors and one slice's selected rows, and the
+    # sampler one uniform per path, whatever the number of slices: 61 KB
+    # measured at N = 250 and at N = 2000, where the slice table takes
+    # 8.1 MB.  The block walk it replaced held each path's N uniforms,
+    # 4.8 MB at N = 2000, and grew with N.
     pinned = hasattr(os, "sched_getaffinity")
-    if pinned:                  # one batch, walked in this process
+    if pinned:                  # one batch, sampled in this process
         mask = os.sched_getaffinity(0)
         os.sched_setaffinity(0, {min(mask)})
     try:
-        mdl = example_model(T=2.0)
-        spec = GridSpec(h1=0.2, h2=1e-3, x_min=0.0, x_max=4.0, n_steps=2000)
-        cg = ControlGrid.regular(d=1, u_max=2.0, du=0.5,
-                                 pi_min=mdl.attention_min,
-                                 pi_max=mdl.attention_max, n_pi=5)
-        cache = StencilCache(mdl, build_grid(spec, mdl.m), cg)
-        fields = solve(mdl, spec, cg, cache=cache)
-        lat, N, n_paths = fields.lat, spec.n_steps, 300
-        start = int(lat.index_of(10, np.array([1])))
-        tracemalloc.start()
-        try:
-            simulate_chain(mdl, fields, start, n_paths, seed=1, cache=cache)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (short, _), (long, table) = _chain_peak(250), _chain_peak(2000)
     finally:
         if pinned:
             os.sched_setaffinity(0, mask)
-    streams = n_paths * N * 8
-    table = N * (lat.n_out - 1) * lat.n_nodes * 8
-    assert peak < streams + table / 4, (peak, streams, table)
+    assert long <= 1.1 * short, (short, long)
+    assert long < table / 16, (long, table)
