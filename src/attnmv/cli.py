@@ -29,7 +29,7 @@ from .kernel import build_stencil_batch, consistency_sweep
 from .lattice import GridSpec, build_grid
 from .market import (CONVENTIONS, RegimeModel, as_int, compose_objective,
                      example_model, validate_model)
-from .oracle import marginal_check, simulate_chain
+from .oracle import _step_count, marginal_check, simulate_chain
 from .solver import (ControlGrid, SolutionFields, StencilCache, g_residuals,
                      ratio_policy, solve, spike_margins)
 
@@ -452,8 +452,11 @@ def cmd_check(cfg: RunConfig) -> int:
         log.info("check %-20s %s", name, "PASS" if passed else "FAIL")
 
     # a wrong horizon is a configuration error even where its step size
-    # would also fail the strict build below
+    # would also fail the strict build below; so is a filter-marginal time
+    # that h2 does not divide, though only the last check uses it
     spec.check_horizon(model.T)
+    t_marg = min(0.5, model.T)
+    _step_count(t_marg, spec.h2, "t")
     cache = StencilCache(model, build_grid(spec, model.m), grid)
     lat, u_arr, pi_arr = cache.lat, cache.u_arr, cache.pi_arr
     start = cfg.eval_node(lat)
@@ -508,7 +511,6 @@ def cmd_check(cfg: RunConfig) -> int:
            g0=g0, chain_mean=mc.mean_XT, se_mean=mc.se_mean,
            boundary_hits=mc.boundary_hits)
 
-    t_marg = min(0.5, model.T)
     rep = marginal_check(model, np.asarray(cfg.eval_phi), model.attention_max,
                          t_marg, cfg.n_paths, cfg.seed + 1, h2=spec.h2)
     record("filter_marginal", rep.ok(), t=rep.t, max_dev=rep.max_dev,
@@ -532,7 +534,7 @@ def cmd_refine(cfg: RunConfig) -> int:
 
     # the main grid, which the manifest records, and every rung's
     # evaluation point are checked before the first solve
-    cfg.grid_spec()
+    cfg.grid_spec().check_horizon(model.T)
     rungs = [_eval_point(cfg, cfg.grid_spec(h1=h1, h2=h2), refine=True)
              for h1, h2 in cfg.ladder]
     values, diffs, bhits = [], [], []

@@ -5,7 +5,9 @@ first ``m - 1`` regimes; the last coordinate is implied, ``1 - sum(phi)``.
 Attention ``pi`` scales the informativeness of the observation: the belief
 diffusion is ``sqrt(pi) * phi_i * (zeta_i - zeta_bar)`` per coordinate while
 the drift is the generator-transpose action, independent of ``pi``.
-``filter_step`` is the one place that computes either.
+The lattice's transition law (``kernel._belief_rows``) computes its own
+copy of both, kept apart so that the SDE oracle, which steps the belief
+with ``filter_step``, stays independent of the chain it checks.
 
 Beliefs from outside are checked once with ``check_belief``; a step does
 not re-check its input, because ``project_simplex`` puts every step's

@@ -33,32 +33,36 @@ builder: the law of one (node, control) pair is column ``n`` of row ``c``
 of ``build_stencil_batch``.
 
 Only the wealth rows change between coefficient epochs: the riskfree
-rate, drift and volatility carry the time breaks.  What does not change is
-built once per lattice and kept read-only in one-entry caches keyed by
-bytes; another key replaces the entry, and every caller shares them:
+rate, drift and volatility carry the time breaks.  Whatever several builds
+share is kept read-only in one memo per lattice (``_memo``), which holds
+the last value of each named term and builds it again when the term's key,
+made of the bytes of its inputs, changes:
 
-* ``_belief_rows``, keyed by the attention levels, the generator and the
-  signal levels: the belief rows (belief-diagonal and paired), the mask
-  of (control, node) pairs where one of them is below the tolerance for
-  negative weights, the filter drift, the loadings ``v``, the tolerance
-  and the belief terms of the closed-form stay.  The first moment sweep
-  adds the belief coordinates' one-step means and the largest belief-only
-  mean and second-moment deviations: no catalog outcome moves wealth and
-  a belief coordinate together, so those do not depend on the epoch (on
-  a catalog where one does, every sweep covers every coordinate);
-* ``_volatility_term``, keyed by the shape and bytes of the positions and
-  of the epoch's volatility: ``ssT``, which changes only where the
-  volatility does.
+* ``rows``, keyed by the attention levels, the generator, the signal
+  levels and the cost coefficient: the belief rows (belief-diagonal and
+  paired), the mask of (control, node) pairs where one of them is below
+  the tolerance for negative weights, the filter drift, the loadings
+  ``v``, the tolerance, the belief terms of the closed-form stay and the
+  attention-cost plane ``(k pi^2) x``;
+* ``ssT``, keyed by the shape and bytes of the positions and of the
+  epoch's volatility: the squared belief-averaged volatility row;
+* ``wealth``, keyed by the key of ``rows``, the positions and the epoch's
+  riskfree rate, drift and volatility: ``bbar`` and the two wealth rows,
+  so the moment sweep of an epoch reads those of the build before it;
+* ``moments``, keyed like ``rows`` and built by the first moment sweep:
+  the belief coordinates' one-step means and their largest mean and
+  second-moment deviations.  No catalog outcome moves wealth and a belief
+  coordinate together, so these do not depend on the epoch.
 
-An epoch's build forms ``bbar`` and the two wealth rows, copies in the
-stored belief rows clipped at 0 and closes the stay.  The wealth rows are
-a square plus a positive part, times a positive factor, so they are never
-negative: the stored mask is the whole tolerance check, and clipping them
-would change no bit.  An epoch's moment sweep forms only the wealth mean
-and the deviations that involve wealth and takes the maximum with the
-stored ones.  Each operation has the operands and the order of a build or
-sweep of the whole law from scratch, so every batch and report is
-bit-identical to one.
+An epoch's build copies in the wealth rows and the stored belief rows
+clipped at 0 and closes the stay.  The wealth rows are a square plus a
+positive part, times a positive factor, so they are never negative: the
+stored mask is the whole tolerance check, and clipping them would change
+no bit.  An epoch's moment sweep forms only the wealth mean and the
+deviations that involve wealth and takes the maximum with the stored
+ones.  Each operation has the operands and the order of a build or sweep
+of the whole law from scratch, so every batch and report is bit-identical
+to one.
 
 Summation order: the builder and the moment sweep work on (n_c, n_nodes)
 planes, and every sum over regimes, assets, outcomes or belief pairs
@@ -99,22 +103,38 @@ def _index_sum(planes):
     return total
 
 
-class _BeliefMoments(NamedTuple):
-    """What the moment sweep keeps of the belief coordinates."""
-
-    coords: tuple            # coordinates each epoch's sweep covers
-    planes: list             # (outcome, raw belief row) an epoch's sweep reads
-    mean: list               # one-step mean per coordinate; None if per epoch
-    mean_dev: np.float64     # largest |mean deviation| off ``coords``
-    second_dev: np.float64   # largest |second deviation| off ``coords``
+# Per lattice, the last value of each named term and the key it was built
+# with: {lat: {name: (key, value)}}
+_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-@dataclass(eq=False)
-class _BeliefRows:
+def _memo(lat: Lattice, name: str, key, build):
+    """Term ``name`` of ``lat`` for ``key``; ``build()`` makes it on a miss.
+
+    The value it replaces is dropped first, so the two are never held
+    together.
+    """
+    terms = _MEMO.setdefault(lat, {})
+    entry = terms.get(name)
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    terms.pop(name, None)
+    terms[name] = (key, build())
+    return terms[name][1]
+
+
+def _key(*arrays) -> tuple:
+    """The shape and bytes of each array, as float64."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    return tuple((a.shape, a.tobytes()) for a in arrays)
+
+
+class _BeliefRows(NamedTuple):
     """The parts of every epoch's law that only the beliefs shape.
 
-    Built from the lattice, the attention levels, the generator and the
-    signal levels, none of which change between coefficient epochs.
+    Built from the lattice, the attention levels, the generator, the
+    signal levels and the cost coefficient, none of which change between
+    coefficient epochs.
     """
 
     full: FloatArray         # (n, m) full belief per node
@@ -126,23 +146,11 @@ class _BeliefRows:
     neg_tol: FloatArray      # (n_c, 1) tolerance for negative weights
     quad: FloatArray         # (n_c, n) belief term of the closed-form stay
     abs_q: FloatArray        # (n,) sum_i |qtil_i|
-    moments: _BeliefMoments | None = None     # set by the first sweep
-
-
-# One entry per lattice: the belief rows of the last attention levels,
-# generator and signal levels it was built with (keyed by their bytes)
-_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-# One entry per lattice: ssT of the last positions and volatility
-_VOL_TERMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+    cost: FloatArray         # (n_c, n) attention cost (k pi^2) x
 
 
 def _belief_rows(model: RegimeModel, lat: Lattice, pi_arr) -> _BeliefRows:
-    """The belief rows for ``pi_arr`` on ``lat``, built once per key."""
-    key = tuple(np.ascontiguousarray(a, dtype=np.float64).tobytes()
-                for a in (pi_arr, model.generator, model.signal_levels))
-    entry = _ROWS.get(lat)
-    if entry is not None and entry[0] == key:
-        return entry[1]
+    """The belief rows for ``pi_arr`` on ``lat``."""
     h1, h2 = lat.spec.h1, lat.spec.h2
     mm = model.m - 1
     c = h2 / (h1 * h1)
@@ -186,31 +194,25 @@ def _belief_rows(model: RegimeModel, lat: Lattice, pi_arr) -> _BeliefRows:
         _index_sum(absv[i] * absv[k] for i in range(mm) for k in range(mm))
         - 3.0 * _index_sum(v[i] * v[i] for i in range(mm)))
     abs_q = _index_sum(np.abs(qtil[:, i]) for i in range(mm))
-    arrays = (full, np.ascontiguousarray(full.T), qtil, v, raw, bad,
-              neg_tol, quad, abs_q)
-    for a in arrays:
+    cost = (model.cost_coeff * pi_arr * pi_arr)[:, None] * lat.x
+    rows = _BeliefRows(full, np.ascontiguousarray(full.T), qtil, v, raw, bad,
+                       neg_tol, quad, abs_q, cost)
+    for a in rows:
         a.flags.writeable = False
-    rows = _BeliefRows(*arrays)
-    _ROWS[lat] = (key, rows)
     return rows
 
 
-def _volatility_term(lat: Lattice, full: FloatArray, u_arr: FloatArray,
+def _volatility_term(full: FloatArray, u_arr: FloatArray,
                      vol: FloatArray) -> FloatArray:
     """``ssT`` (n_c, n): the squared belief-averaged volatility row.
 
-    Built once per key; ``vol`` (m, d, d) is one epoch's volatility.
+    ``vol`` (m, d, d) is one epoch's volatility.
     """
-    key = (u_arr.shape, u_arr.tobytes(), vol.shape, vol.tobytes())
-    entry = _VOL_TERMS.get(lat)
-    if entry is not None and entry[0] == key:
-        return entry[1]
     usig = np.einsum("cl,mlj->cmj", u_arr, vol)
     sbar = full @ usig                                           # (c, n, d)
     ssT = _index_sum(sbar[:, :, j] * sbar[:, :, j]
                      for j in range(sbar.shape[2]))
     ssT.flags.writeable = False
-    _VOL_TERMS[lat] = (key, ssT)
     return ssT
 
 
@@ -223,22 +225,21 @@ class _WealthRows(NamedTuple):
     ssT: FloatArray          # (n_c, n) squared averaged volatility row
 
 
-def _wealth_rows(model: RegimeModel, lat: Lattice, t: float, u_arr,
-                 pi_arr, rows: _BeliefRows) -> _WealthRows:
-    """The wealth rows of every control at the epoch holding ``t``.
+def _wealth_rows(model: RegimeModel, lat: Lattice, e: int, u_arr,
+                 rows: _BeliefRows) -> _WealthRows:
+    """The wealth rows of every control in coefficient epoch ``e``.
 
     Each control's entries are the same floating-point operations, in the
     same order, as a build for that control alone.
     """
     h1, h2 = lat.spec.h1, lat.spec.h2
     c = h2 / (h1 * h1)
-    e = model.epoch_of(t)
     r = model.riskfree[e]
     th_u = ((model.drift[e] - r[:, None]) @ u_arr[:, :, None])[:, :, 0]
     # bbar = sum_i phi_i (r_i x + th_u_i) - k pi^2 x, plane by plane in
     # place: numpy broadcasts a (c, 1) and an (n,) operand into a new
     # array far more slowly than it adds a column to a plane
-    bbar = np.empty((len(pi_arr), lat.n_nodes))
+    bbar = np.empty(rows.cost.shape)
     term = np.empty_like(bbar)
     for i in range(model.m):
         plane = bbar if i == 0 else term
@@ -247,10 +248,10 @@ def _wealth_rows(model: RegimeModel, lat: Lattice, t: float, u_arr,
         plane *= rows.cols[i]
         if i:
             bbar += term
-    term[...] = lat.x
-    term *= (model.cost_coeff * pi_arr * pi_arr)[:, None]
-    bbar -= term
-    ssT = _volatility_term(lat, rows.full, u_arr, model.vol[e])
+    bbar -= rows.cost
+    vol = model.vol[e]
+    ssT = _memo(lat, "ssT", _key(u_arr, vol),
+                lambda: _volatility_term(rows.full, u_arr, vol))
     # (ssT + 2 max(+-bbar, 0) h1) (c / 2); doubling is exact, so
     # 2 max(bbar, 0) h1 is max(bbar, 0) (2 h1)
     up = np.maximum(bbar, 0.0)
@@ -260,15 +261,23 @@ def _wealth_rows(model: RegimeModel, lat: Lattice, t: float, u_arr,
         row *= 2.0 * h1
         row += ssT
         row *= 0.5 * c
+    for a in (up, down, bbar):
+        a.flags.writeable = False
     return _WealthRows(up, down, bbar, ssT)
 
 
 def _epoch_parts(model, lat, t, u_arr, pi_arr):
-    """The lattice's belief rows and the epoch's wealth rows."""
+    """The belief rows' key, the belief rows and the epoch's wealth rows."""
     u_arr = np.asarray(u_arr, dtype=np.float64)
     pi_arr = np.asarray(pi_arr, dtype=np.float64)
-    rows = _belief_rows(model, lat, pi_arr)
-    return rows, _wealth_rows(model, lat, t, u_arr, pi_arr, rows)
+    key = _key(pi_arr, model.generator, model.signal_levels,
+               model.cost_coeff)
+    rows = _memo(lat, "rows", key, lambda: _belief_rows(model, lat, pi_arr))
+    e = model.epoch_of(t)
+    w = _memo(lat, "wealth", key + _key(u_arr, model.riskfree[e],
+                                        model.drift[e], model.vol[e]),
+              lambda: _wealth_rows(model, lat, e, u_arr, rows))
+    return key, rows, w
 
 
 @dataclass
@@ -323,7 +332,7 @@ def build_stencil_batch(model: RegimeModel, lat: Lattice, t: float,
     With ``strict`` the first invalid control raises; otherwise invalid
     (control, node) pairs are only masked out in ``valid``.
     """
-    rows, w = _epoch_parts(model, lat, t, u_arr, pi_arr)
+    _, rows, w = _epoch_parts(model, lat, t, u_arr, pi_arr)
     h1, h2 = lat.spec.h1, lat.spec.h2
     probs = np.empty((len(rows.neg_tol), lat.n_out, lat.n_nodes))
     probs[:, 1] = w.up
@@ -397,40 +406,28 @@ def _moment_maxima(planes, disp, coords, mean, drift, ssT, v, h2):
     return mean_dev, second_dev
 
 
-def _belief_moments(lat: Lattice, rows: _BeliefRows) -> _BeliefMoments:
-    """The belief coordinates' share of every epoch's moment sweep.
-
-    Where an outcome of the catalog moves wealth and a belief coordinate
-    together, the belief moments change with the epoch, and each epoch's
-    sweep covers every coordinate.
-    """
-    disp = lat.displacements
-    n_coords = disp.shape[1]
-    belief = [(o, rows.raw[:, o - 3]) for o in range(3, lat.n_out)]
-    mean = [None] * n_coords
-    if np.any((disp[:, :1] != 0.0) & (disp[:, 1:] != 0.0)):
-        zero = np.float64(0.0)
-        return _BeliefMoments(tuple(range(n_coords)), belief, mean, zero, zero)
-    drift = [None] + [rows.qtil[:, i] for i in range(n_coords - 1)]
-    mean_dev, second_dev = _moment_maxima(
-        belief, disp, range(1, n_coords), mean, drift, None, rows.v,
-        lat.spec.h2)
-    for a in mean[1:]:
-        a.flags.writeable = False
-    return _BeliefMoments((0,), [], mean, mean_dev, second_dev)
-
-
 def consistency_sweep(model: RegimeModel, lat: Lattice, t: float,
                       u_arr: FloatArray, pi_arr: FloatArray) -> ConsistencyReport:
     """Worst-case moment deviations over all nodes and controls."""
-    rows, w = _epoch_parts(model, lat, t, u_arr, pi_arr)
-    if rows.moments is None:
-        rows.moments = _belief_moments(lat, rows)
-    mom = rows.moments
-    drift = [w.bbar] + [rows.qtil[:, i] for i in range(model.m - 1)]
+    key, rows, w = _epoch_parts(model, lat, t, u_arr, pi_arr)
+    disp, h2 = lat.displacements, lat.spec.h2
+    n_coords = disp.shape[1]
+    drift = [w.bbar] + [rows.qtil[:, i] for i in range(n_coords - 1)]
+
+    def belief_moments():
+        mean = [None] * n_coords
+        devs = _moment_maxima(
+            [(o, rows.raw[:, o - 3]) for o in range(3, lat.n_out)], disp,
+            range(1, n_coords), mean, drift, None, rows.v, h2)
+        for a in mean[1:]:
+            a.flags.writeable = False
+        return mean, *devs
+
+    mean, belief_mean_dev, belief_second_dev = _memo(lat, "moments", key,
+                                                     belief_moments)
     mean_dev, second_dev = _moment_maxima(
-        [(1, w.up), (2, w.down)] + mom.planes, lat.displacements,
-        mom.coords, list(mom.mean), drift, w.ssT, rows.v, lat.spec.h2)
+        [(1, w.up), (2, w.down)], disp, (0,), list(mean), drift, w.ssT,
+        rows.v, h2)
     return ConsistencyReport(
-        mean_dev=float(np.maximum(mean_dev, mom.mean_dev)),
-        second_dev=float(np.maximum(second_dev, mom.second_dev)))
+        mean_dev=float(np.maximum(mean_dev, belief_mean_dev)),
+        second_dev=float(np.maximum(second_dev, belief_second_dev)))

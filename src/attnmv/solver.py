@@ -203,11 +203,9 @@ def _select(probs: FloatArray, idx: np.ndarray) -> FloatArray:
 
 
 def step_back(model: RegimeModel, fields: SolutionFields, n: int,
-              cache: StencilCache | None = None) -> None:
+              cache: StencilCache) -> None:
     """Populate slice ``n`` of ``fields`` from slice ``n + 1``."""
-    lat, grid = fields.lat, fields.grid
-    if cache is None:
-        cache = StencilCache(model, lat, grid)
+    lat = fields.lat
     batch = cache.batch(fields.time_of(n))
     cand = _candidates(cache, batch, fields.V[n + 1], fields.g[n + 1])
     idx = np.argmin(cand, axis=0)
@@ -286,15 +284,13 @@ def solve(model: RegimeModel, spec: GridSpec, grid: ControlGrid,
 
 
 def spike_margins(model: RegimeModel, fields: SolutionFields, n: int,
-                  cache: StencilCache | None = None) -> FloatArray:
+                  cache: StencilCache) -> FloatArray:
     """Per-node one-step deviation margin at slice ``n``.
 
     ``min_c candidate(c) - candidate(stored policy)``; nonnegative up to
     roundoff exactly when the stored policy is the per-node argmin.
     """
-    lat, grid = fields.lat, fields.grid
-    if cache is None:
-        cache = StencilCache(model, lat, grid)
+    lat = fields.lat
     batch = cache.batch(fields.time_of(n))
     cand = _candidates(cache, batch, fields.V[n + 1], fields.g[n + 1])
     stored = cand[fields.policy[n], np.arange(lat.n_nodes)]
@@ -302,11 +298,9 @@ def spike_margins(model: RegimeModel, fields: SolutionFields, n: int,
 
 
 def g_residuals(model: RegimeModel, fields: SolutionFields, n: int,
-                cache: StencilCache | None = None) -> FloatArray:
+                cache: StencilCache) -> FloatArray:
     """|g_n - stencil average of g_{n+1} under the stored policy| per node."""
     lat = fields.lat
-    if cache is None:
-        cache = StencilCache(model, lat, fields.grid)
     batch = cache.batch(fields.time_of(n))
     probs_sel = _select(batch.probs, fields.policy[n])
     expect = np.einsum("on,no->n", probs_sel, fields.g[n + 1][lat.neighbors])

@@ -562,6 +562,49 @@ def test_check_wrong_horizon_is_config_error(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def test_check_off_grid_marginal_time_fails_before_any_build(
+        tmp_path, capsys, monkeypatch):
+    # the filter-marginal time min(0.5, T) was checked against h2 only by
+    # the last check, after the strict builds, the solve and the chain
+    import attnmv.cli
+    import attnmv.solver
+    builds = []
+
+    def spy(*args, **kwargs):
+        builds.append(args)
+        raise AssertionError("a stencil batch was built before the check")
+    monkeypatch.setattr(attnmv.cli, "build_stencil_batch", spy)
+    monkeypatch.setattr(attnmv.solver, "build_stencil_batch", spy)
+    with open(DEFAULT_CONFIG) as fh:
+        model = json.load(fh)["model"]
+    model["T"] = 0.6
+    out = tmp_path / "x"
+    rc = main(["check", "--config", str(short_config(tmp_path, model=model)),
+               "--h2", "0.0012", "--output-dir", str(out)])
+    assert rc == 2
+    assert "config error: t 0.5 is not a multiple of the step 0.0012" \
+        in capsys.readouterr().err
+    assert builds == []
+    assert not (out / "check_report.json").exists()
+
+
+def test_refine_checks_main_horizon_before_any_solve(tmp_path, capsys,
+                                                     monkeypatch):
+    # --h2 0.0007 does not divide T = 2; refine used to solve its ladder
+    # and record n_steps 2857 in its manifest
+    import attnmv.cli
+    solves = []
+    monkeypatch.setattr(attnmv.cli, "solve",
+                        lambda *args, **kwargs: solves.append(args))
+    out = tmp_path / "r"
+    rc = main(["refine", "--config", str(DEFAULT_CONFIG), "--h2", "0.0007",
+               "--output-dir", str(out)])
+    assert rc == 2
+    assert "does not equal the horizon 2.0" in capsys.readouterr().err
+    assert solves == []
+    assert not (out / "refine_manifest.json").exists()
+
+
 def test_refine_cauchy_table(tmp_path):
     cfgp = short_config(tmp_path)
     out = tmp_path / "refine"

@@ -388,26 +388,36 @@ def test_multi_epoch_batch_and_sweep_pins(m, default_spec, default_controls):
 @pytest.mark.parametrize("m", [2, 3])
 def test_shared_belief_rows_never_stale(m, default_spec, default_controls):
     # one lattice serves models that differ from the base only in the
-    # generator, only in the signal levels or only in the attention
-    # levels, each between two base builds; every epoch's batch and sweep
-    # must equal a build on a lattice of its own
+    # generator, only in the signal levels, only in the attention levels,
+    # only in the cost coefficient, only in one epoch's drift or only in
+    # one epoch's riskfree rate, each between two base builds of the same
+    # epoch; every batch and sweep must equal a build on a lattice of its
+    # own
     base = piecewise_model(m)
     gen = base.generator.copy()
     gen[0, 0] -= 0.5
     gen[0, 1] += 0.5
+    drift = base.drift.copy()
+    drift[1] += 0.01
+    riskfree = base.riskfree.copy()
+    riskfree[1] += 0.01
     other_pi = ControlGrid.regular(d=1, u_max=2.0, du=0.5, pi_min=0.01,
                                    pi_max=1.0, n_pi=5)
     changed = [(replace(base, generator=gen), default_controls),
                (replace(base, signal_levels=base.signal_levels * 1.5),
                 default_controls),
-               (base, other_pi)]
+               (base, other_pi),
+               (replace(base, cost_coeff=3.0 * base.cost_coeff),
+                default_controls),
+               (replace(base, drift=drift), default_controls),
+               (replace(base, riskfree=riskfree), default_controls)]
     shared = build_grid(default_spec, m)
     runs = [(base, default_controls)]
     for variant in changed:
         runs += [variant, (base, default_controls)]
-    for mdl, cg in runs:
-        u_arr, pi_arr = cg.enumerate()
-        for t in mdl.time_breaks:
+    for t in base.time_breaks:
+        for mdl, cg in runs:
+            u_arr, pi_arr = cg.enumerate()
             got = build_stencil_batch(mdl, shared, float(t), u_arr, pi_arr)
             fresh = build_grid(default_spec, m)
             want = build_stencil_batch(mdl, fresh, float(t), u_arr, pi_arr)
@@ -631,24 +641,3 @@ def test_volatility_term_never_stale(m):
     for mdl, u in runs:
         for t in mdl.time_breaks:
             assert_matches_whole_law(mdl, lat, float(t), u, pi_arr)
-
-
-@pytest.mark.parametrize("m", [2, 3])
-def test_sweep_covers_every_coordinate_on_a_mixed_catalog(m):
-    # where a wealth move also moves a belief coordinate, the belief
-    # moments change with the epoch, so each sweep covers them all
-    mdl = split_model(m, 1)
-    u_arr, pi_arr = split_controls(1)
-    lat = build_grid(SMALL, m)
-    plain = build_grid(SMALL, m)
-    disp = lat.displacements.copy()
-    disp[1, 1], disp[2, 1] = SMALL.h1, -SMALL.h1
-    lat.displacements = disp
-    for t in mdl.time_breaks:
-        got = consistency_sweep(mdl, lat, float(t), u_arr, pi_arr)
-        assert report_bytes(got) == report_bytes(
-            ref.consistency_sweep(mdl, lat, float(t), u_arr, pi_arr))
-        assert got.mean_dev > consistency_sweep(mdl, plain, float(t), u_arr,
-                                                pi_arr).mean_dev
-    assert attnmv.kernel._ROWS[lat][1].moments.coords == tuple(range(m))
-    assert attnmv.kernel._ROWS[plain][1].moments.coords == (0,)

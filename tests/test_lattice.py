@@ -101,6 +101,14 @@ def test_outcome_catalog_size():
     assert lat.n_out == 15
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_no_outcome_moves_wealth_and_belief_together(m):
+    # the moment sweep keeps the belief coordinates' moments per lattice
+    # because no outcome moves wealth and a belief coordinate at once
+    for dx, dphi in outcome_offsets(m):
+        assert dx == 0 or not np.any(dphi)
+
+
 def test_nearest_node_roundtrip_and_offgrid():
     lat = build_grid(make_spec(), 2)
     idx = lat.nearest_node(np.array([1.4]), np.array([[0.2]]))

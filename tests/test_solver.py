@@ -59,7 +59,7 @@ def step_from(mdl, lat, grid, V_next, g_next):
                             V=np.stack([np.empty(n), V_next]),
                             g=np.stack([np.empty(n), g_next]),
                             policy=np.empty((1, n), dtype=np.int32))
-    step_back(mdl, fields, 0)
+    step_back(mdl, fields, 0, StencilCache(mdl, lat, grid))
     return fields
 
 
@@ -174,7 +174,7 @@ def test_step_back_constant_g(default_controls):
     mdl = example_model(T=0.001)
     f2 = solve(mdl, spec, default_controls)
     f2.g[1][:] = 5.5
-    step_back(mdl, f2, 0)
+    step_back(mdl, f2, 0, StencilCache(mdl, f2.lat, default_controls))
     np.testing.assert_allclose(f2.g[0], 5.5, atol=1e-12)
 
 
@@ -241,28 +241,31 @@ def test_g_matches_exact_mean_recursion():
 
 def test_g_propagation_identity(short_fields):
     mdl, spec, fields = short_fields
-    worst = max(float(g_residuals(mdl, fields, n).max())
+    cache = StencilCache(mdl, fields.lat, fields.grid)
+    worst = max(float(g_residuals(mdl, fields, n, cache).max())
                 for n in range(spec.n_steps))
     assert worst <= 1e-12
 
 
 def test_spike_margins_nonnegative(short_fields):
     mdl, spec, fields = short_fields
+    cache = StencilCache(mdl, fields.lat, fields.grid)
     for n in (0, spec.n_steps // 2, spec.n_steps - 1):
-        assert spike_margins(mdl, fields, n).min() >= -1e-12
+        assert spike_margins(mdl, fields, n, cache).min() >= -1e-12
 
 
 def test_spike_check_scalar_and_corruption(short_fields):
     mdl, spec, fields = short_fields
     lat = fields.lat
     node = int(lat.index_of(10, np.array([1])))
-    assert spike_margins(mdl, fields, 100)[node] >= -1e-12
+    cache = StencilCache(mdl, lat, fields.grid)
+    assert spike_margins(mdl, fields, 100, cache)[node] >= -1e-12
     # corrupt: force the highest attention where the lowest is optimal
     n_pi = len(fields.grid.pi_levels)
     corrupt = replace(fields, policy=fields.policy.copy())
     assert corrupt.policy[100, node] % n_pi == 0
     corrupt.policy[100, node] += n_pi - 1
-    margins = spike_margins(mdl, corrupt, 100)
+    margins = spike_margins(mdl, corrupt, 100, cache)
     assert margins[node] < 0.0
 
 
@@ -369,7 +372,8 @@ def test_masked_controls_solve_pin():
     spec = small_spec(n_steps=10)
     cg = ControlGrid(u_levels=[[0.0], [1.0]], pi_levels=[0.0, 0.5, 2.0])
     fields = solve(mdl, spec, cg)
-    valid = StencilCache(mdl, fields.lat, cg).batch(0.0).valid
+    cache = StencilCache(mdl, fields.lat, cg)
+    valid = cache.batch(0.0).valid
     assert 0 < valid.sum() < valid.size
     # one epoch; the four controls with pi > 0 are invalid at the beliefs
     # (0.2, 0.2), (0.2, 0.4), (0.4, 0.4) and (0.6, 0.2) at all 21 wealths
@@ -380,8 +384,8 @@ def test_masked_controls_solve_pin():
     assert digest.hexdigest() == ("2c1213ca91dc9046ce800487bfe22b86"
                                   "23b183a4be675dadfbd90cc52e7cc7b9")
     for n in range(spec.n_steps):
-        assert spike_margins(mdl, fields, n).min() >= 0.0
-        assert g_residuals(mdl, fields, n).max() == 0.0
+        assert spike_margins(mdl, fields, n, cache).min() >= 0.0
+        assert g_residuals(mdl, fields, n, cache).max() == 0.0
 
 
 def test_no_valid_control_blames_dominance_not_step(default_controls):
