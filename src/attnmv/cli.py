@@ -80,13 +80,19 @@ class RunConfig:
     # -- derived objects -----------------------------------------------------
 
     def grid_spec(self, h1: float | None = None, h2: float | None = None) -> GridSpec:
+        """The grid with steps ``h1``, ``h2`` (default: the configured ones).
+
+        Its ``n_steps`` steps of ``h2`` must end at the horizon ``T``.
+        """
         h1 = self.h1 if h1 is None else h1
         h2 = self.h2 if h2 is None else h2
         if not (math.isfinite(h2) and h2 > 0):
             raise ConfigError(f"h2 must be finite and > 0, got {h2}")
         n_steps = int(round(self.model.T / h2))
-        return GridSpec(h1=h1, h2=h2, x_min=self.x_min, x_max=self.x_max,
+        spec = GridSpec(h1=h1, h2=h2, x_min=self.x_min, x_max=self.x_max,
                         n_steps=n_steps)
+        spec.check_horizon(self.model.T)
+        return spec
 
     def control_grid(self) -> ControlGrid:
         return ControlGrid.regular(
@@ -150,7 +156,6 @@ def _eval_point(cfg: RunConfig, spec: GridSpec, *, refine: bool = False):
 
     Called before any solve, so an off-grid point costs no solve.
     """
-    spec.check_horizon(cfg.model.T)
     lat = build_grid(spec, cfg.model.m)
     return (lat, cfg.eval_node(lat, refine=refine),
             cfg.eval_slice(spec, refine=refine))
@@ -191,20 +196,10 @@ _FLAGS = (
 )
 
 
-def load_config(path: str | Path | None, overrides: argparse.Namespace | None = None,
-                ) -> RunConfig:
-    """Merge file config (if any), built-in defaults and CLI flags."""
-    raw: dict = {}
-    if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file {p} does not exist")
-        with open(p) as fh:
-            raw = json.load(fh)
+def _run_config(raw: dict, convention: str | None) -> RunConfig:
+    """The configuration in the parsed file ``raw``, defaults filled in."""
     model = RegimeModel.from_dict(raw["model"]) if "model" in raw \
         else example_model()
-    # the flag, else the top-level key, overrides model.objective_convention
-    convention = getattr(overrides, "convention", None) or raw.get("convention")
     if convention is not None:
         model = replace(model, objective_convention=convention)
     bad = validate_model(model)
@@ -240,6 +235,38 @@ def load_config(path: str | Path | None, overrides: argparse.Namespace | None = 
         cfg.refine_x = None if rev.get("x") is None else float(rev["x"])
         cfg.refine_phi = (None if rev.get("phi") is None
                           else [float(v) for v in rev["phi"]])
+    return cfg
+
+
+def load_config(path: str | Path | None, overrides: argparse.Namespace | None = None,
+                ) -> RunConfig:
+    """Merge file config (if any), built-in defaults and CLI flags.
+
+    A file that is not a JSON object, or an entry of the wrong type or
+    a missing key, is a ConfigError naming the file.
+    """
+    raw: dict = {}
+    if path is not None:
+        p = Path(path)
+        if not p.exists():
+            raise ConfigError(f"config file {p} does not exist")
+        try:
+            with open(p) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as err:
+            raise ConfigError(f"config file {p}: {err}") from err
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {p} must hold a JSON object, "
+                              f"not a {type(raw).__name__}")
+    # the flag, else the top-level key, overrides model.objective_convention
+    convention = getattr(overrides, "convention", None) or raw.get("convention")
+    try:
+        cfg = _run_config(raw, convention)
+    except ConfigError:
+        raise
+    except (AttributeError, LookupError, TypeError, ValueError) as err:
+        detail = f"missing key {err}" if isinstance(err, KeyError) else err
+        raise ConfigError(f"config file {path}: {detail}") from err
 
     for flag, name, _, convert in _FLAGS:
         value = getattr(overrides, flag, None)
@@ -291,14 +318,7 @@ def _slice_table(fields: SolutionFields, n: int):
     cols = [lat.ix.astype(float)] + [lat.iphi[:, i].astype(float) for i in range(mm)]
     cols += [lat.x] + [lat.phi[:, i] for i in range(mm)]
     cols += [fields.V[n], fields.g[n]]
-    if n < fields.spec.n_steps:
-        u = fields.policy_u(n)
-        pi = fields.policy_pi(n)
-        w = ratio_policy(fields, n)
-    else:                       # policy undefined on the terminal slice
-        u = np.full((lat.n_nodes, d), np.nan)
-        pi = np.full(lat.n_nodes, np.nan)
-        w = np.full((lat.n_nodes, d), np.nan)
+    u, pi, w = fields.policy_u(n), fields.policy_pi(n), ratio_policy(fields, n)
     cols += [u[:, l] for l in range(d)] + [pi] + [w[:, l] for l in range(d)]
     return header, cols
 
@@ -451,10 +471,8 @@ def cmd_check(cfg: RunConfig) -> int:
         report[name] = {"pass": bool(passed), **metrics}
         log.info("check %-20s %s", name, "PASS" if passed else "FAIL")
 
-    # a wrong horizon is a configuration error even where its step size
-    # would also fail the strict build below; so is a filter-marginal time
-    # that h2 does not divide, though only the last check uses it
-    spec.check_horizon(model.T)
+    # a filter-marginal time that h2 does not divide fails before any
+    # build, though only the last check uses it
     t_marg = min(0.5, model.T)
     _step_count(t_marg, spec.h2, "t")
     cache = StencilCache(model, build_grid(spec, model.m), grid)
@@ -532,9 +550,9 @@ def cmd_refine(cfg: RunConfig) -> int:
     model = cfg.model
     grid = cfg.control_grid()
 
-    # the main grid, which the manifest records, and every rung's
-    # evaluation point are checked before the first solve
-    cfg.grid_spec().check_horizon(model.T)
+    # the main grid, which the manifest records, and every rung's grid
+    # and evaluation point are checked before the first solve
+    cfg.grid_spec()
     rungs = [_eval_point(cfg, cfg.grid_spec(h1=h1, h2=h2), refine=True)
              for h1, h2 in cfg.ladder]
     values, diffs, bhits = [], [], []

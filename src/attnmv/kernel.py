@@ -58,11 +58,12 @@ An epoch's build copies in the wealth rows and the stored belief rows
 clipped at 0 and closes the stay.  The wealth rows are a square plus a
 positive part, times a positive factor, so they are never negative: the
 stored mask is the whole tolerance check, and clipping them would change
-no bit.  An epoch's moment sweep forms only the wealth mean and the
-deviations that involve wealth and takes the maximum with the stored
-ones.  Each operation has the operands and the order of a build or sweep
-of the whole law from scratch, so every batch and report is bit-identical
-to one.
+no bit.  The moment sweep has one half per kind of coordinate:
+``_belief_moments`` builds ``moments`` once per lattice, and per epoch the
+wealth rows give the wealth mean and every deviation involving wealth,
+the cross terms reading the stored belief means.  Each operation has the
+operands and the order of a build or sweep of the whole law from scratch,
+so every batch and report is bit-identical to one.
 
 Summation order: the builder and the moment sweep work on (n_c, n_nodes)
 planes, and every sum over regimes, assets, outcomes or belief pairs
@@ -373,61 +374,58 @@ class ConsistencyReport:
     second_dev: float        # max |CentralMoment2[dY] - Sigma Sigma' h2|
 
 
-def _moment_maxima(planes, disp, coords, mean, drift, ssT, v, h2):
-    """Largest moment deviations of the coordinates ``coords``.
+def _belief_moments(rows: _BeliefRows, disp: np.ndarray, h2: float):
+    """Belief coordinates' mean planes and largest mean, second deviations.
 
-    ``planes`` lists ``(o, p)``, the raw (n_c, n) weight ``p`` of outcome
-    ``o``, in outcome order, and holds every outcome that moves one of
-    ``coords``.  ``mean`` has one entry per coordinate and receives those
-    of ``coords``; the second moments cover the pairs (i, j >= i) with i
-    in ``coords``, which read the others' means.  One pass over the
-    outcomes forms ``p d_i``; the moments add ``p d_i`` and ``(p d_i)
-    d_j`` in outcome order, skipping the exact zero terms of a coordinate
-    an outcome leaves fixed.  Every displacement coordinate is 0 or
-    +-h1, so ``(p d_i) d_j = (p d_j) d_i``.
+    The second moments cover the belief pairs (i, j >= i).  One pass over
+    the belief outcomes (3 on) forms ``p d_i``; the moments add ``p d_i``
+    and ``(p d_i) d_j`` in outcome order, skipping the exact zero terms of
+    a coordinate an outcome leaves fixed.  Every displacement coordinate
+    is 0 or +-h1, so ``(p d_i) d_j = (p d_j) d_i``.
     """
-    moved = {i: [(p * disp[o, i], disp[o]) for o, p in planes
-                 if disp[o, i] != 0.0] for i in coords}
-    for i in coords:
-        mean[i] = _index_sum(pd for pd, _ in moved[i])
+    disp = disp[:, 1:]
+    mm = disp.shape[1]
+    moved = [[(rows.raw[:, o - 3] * disp[o, i], disp[o])
+              for o in range(3, len(disp)) if disp[o, i] != 0.0]
+             for i in range(mm)]
+    mean = [_index_sum(pd for pd, _ in moved[i]) for i in range(mm)]
     mean_dev = second_dev = np.float64(0.0)
-    for i in coords:
+    for i in range(mm):
         mean_dev = np.maximum(
-            mean_dev, np.abs(mean[i] - drift[i] * h2).max(initial=0.0))
-        for j in range(i, len(mean)):
-            terms = [pd * d[j] for pd, d in moved[i] if d[j] != 0.0]
-            dev = (_index_sum(terms) if terms else 0.0) - mean[i] * mean[j]
-            if i == j == 0:
-                dev -= ssT * h2
-            elif i > 0:
-                dev -= (v[i - 1] * v[j - 1]) * h2
+            mean_dev, np.abs(mean[i] - rows.qtil[:, i] * h2).max(initial=0.0))
+        for j in range(i, mm):
+            # the paired moves leave no pair (i, j) without a term
+            dev = (_index_sum(pd * d[j] for pd, d in moved[i] if d[j] != 0.0)
+                   - mean[i] * mean[j])
+            dev -= (rows.v[i] * rows.v[j]) * h2
             second_dev = np.maximum(second_dev,
                                     np.abs(dev).max(initial=0.0))
-    return mean_dev, second_dev
+    for a in mean:
+        a.flags.writeable = False
+    return mean, mean_dev, second_dev
 
 
 def consistency_sweep(model: RegimeModel, lat: Lattice, t: float,
                       u_arr: FloatArray, pi_arr: FloatArray) -> ConsistencyReport:
-    """Worst-case moment deviations over all nodes and controls."""
+    """Worst-case moment deviations over all nodes and controls.
+
+    Only outcomes 1 and 2 move wealth and neither moves a belief
+    coordinate, so the wealth terms need only the epoch's wealth rows.
+    """
     key, rows, w = _epoch_parts(model, lat, t, u_arr, pi_arr)
     disp, h2 = lat.displacements, lat.spec.h2
-    n_coords = disp.shape[1]
-    drift = [w.bbar] + [rows.qtil[:, i] for i in range(n_coords - 1)]
-
-    def belief_moments():
-        mean = [None] * n_coords
-        devs = _moment_maxima(
-            [(o, rows.raw[:, o - 3]) for o in range(3, lat.n_out)], disp,
-            range(1, n_coords), mean, drift, None, rows.v, h2)
-        for a in mean[1:]:
-            a.flags.writeable = False
-        return mean, *devs
-
-    mean, belief_mean_dev, belief_second_dev = _memo(lat, "moments", key,
-                                                     belief_moments)
-    mean_dev, second_dev = _moment_maxima(
-        [(1, w.up), (2, w.down)], disp, (0,), list(mean), drift, w.ssT,
-        rows.v, h2)
+    mean, belief_mean_dev, belief_second_dev = _memo(
+        lat, "moments", key, lambda: _belief_moments(rows, disp, h2))
+    d1, d2 = disp[1, 0], disp[2, 0]
+    up, down = w.up * d1, w.down * d2
+    mean0 = np.add(up, down)
+    mean_dev = np.abs(mean0 - w.bbar * h2).max(initial=0.0)
+    dev = np.add(up * d1, down * d2) - mean0 * mean0
+    dev -= w.ssT * h2
+    second_dev = np.abs(dev).max(initial=0.0)
+    for mean_j in mean:
+        second_dev = np.maximum(second_dev,
+                                np.abs(mean0 * mean_j).max(initial=0.0))
     return ConsistencyReport(
         mean_dev=float(np.maximum(mean_dev, belief_mean_dev)),
         second_dev=float(np.maximum(second_dev, belief_second_dev)))

@@ -114,10 +114,18 @@ class SolutionFields:
         return n * self.spec.h2
 
     def policy_u(self, n: int) -> FloatArray:
-        return self.grid.enumerate()[0][self.policy[n]]
+        """Position per node at slice ``n``; NaN on the terminal slice."""
+        return self._policy_levels(n, 0)
 
     def policy_pi(self, n: int) -> FloatArray:
-        return self.grid.enumerate()[1][self.policy[n]]
+        """Attention per node at slice ``n``; NaN on the terminal slice."""
+        return self._policy_levels(n, 1)
+
+    def _policy_levels(self, n: int, which: int) -> FloatArray:
+        levels = self.grid.enumerate()[which]
+        if n == len(self.policy):          # the terminal slice has no policy
+            return np.full((self.lat.n_nodes,) + levels.shape[1:], np.nan)
+        return levels[self.policy[n]]
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +210,19 @@ def _select(probs: FloatArray, idx: np.ndarray) -> FloatArray:
     return np.ascontiguousarray(probs[idx, :, np.arange(len(idx))].T)
 
 
+def _slice_batch(model: RegimeModel, fields: SolutionFields, n: int,
+                 cache: StencilCache) -> StencilBatch:
+    """The batch of slice ``n``; ``cache`` must be built for ``model``."""
+    if model is not cache.model:
+        raise ConfigError("stencil cache built for another model")
+    return cache.batch(fields.time_of(n))
+
+
 def step_back(model: RegimeModel, fields: SolutionFields, n: int,
               cache: StencilCache) -> None:
     """Populate slice ``n`` of ``fields`` from slice ``n + 1``."""
     lat = fields.lat
-    batch = cache.batch(fields.time_of(n))
+    batch = _slice_batch(model, fields, n, cache)
     cand = _candidates(cache, batch, fields.V[n + 1], fields.g[n + 1])
     idx = np.argmin(cand, axis=0)
     best = cand[idx, np.arange(lat.n_nodes)]
@@ -291,7 +307,7 @@ def spike_margins(model: RegimeModel, fields: SolutionFields, n: int,
     roundoff exactly when the stored policy is the per-node argmin.
     """
     lat = fields.lat
-    batch = cache.batch(fields.time_of(n))
+    batch = _slice_batch(model, fields, n, cache)
     cand = _candidates(cache, batch, fields.V[n + 1], fields.g[n + 1])
     stored = cand[fields.policy[n], np.arange(lat.n_nodes)]
     return cand.min(axis=0) - stored
@@ -301,7 +317,7 @@ def g_residuals(model: RegimeModel, fields: SolutionFields, n: int,
                 cache: StencilCache) -> FloatArray:
     """|g_n - stencil average of g_{n+1} under the stored policy| per node."""
     lat = fields.lat
-    batch = cache.batch(fields.time_of(n))
+    batch = _slice_batch(model, fields, n, cache)
     probs_sel = _select(batch.probs, fields.policy[n])
     expect = np.einsum("on,no->n", probs_sel, fields.g[n + 1][lat.neighbors])
     return np.abs(fields.g[n] - expect)

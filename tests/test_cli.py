@@ -180,6 +180,56 @@ def test_sweep_k_artifacts(tmp_path):
     assert len(surf) == 126
 
 
+def test_sweep_k_at_the_horizon_writes_nan_policy(tmp_path):
+    # the terminal slice has no policy; sweep-k used to raise IndexError
+    # there after its first solve
+    cfgp = short_config(tmp_path, eval={"t": 0.05, "x": 2.0, "phi": [0.2]})
+    out = tmp_path / "sweep"
+    assert main(["sweep-k", "--config", str(cfgp), "--output-dir", str(out)]) == 0
+    v = np.genfromtxt(out / "fig1_value.csv", delimiter=",", names=True)
+    assert np.isfinite(v["V_k01"]).all()
+    for name in ("fig2_ratio.csv", "fig3_attention.csv"):
+        table = np.genfromtxt(out / name, delimiter=",", names=True)
+        assert len(table) == 21
+        for col in table.dtype.names[1:]:
+            assert np.isnan(table[col]).all()
+
+
+def _without_vol(cfg):
+    del cfg["model"]["vol"]
+
+
+MALFORMED = {
+    "not-json": "{not json",
+    "top-level-list": "[1, 2]",
+    "model-without-vol": _without_vol,
+    "h1-not-a-number": lambda cfg: cfg["grid"].update(h1="0.2x"),
+    "phi-scalar": lambda cfg: cfg["eval"].update(phi=0.2),
+    "grid-null": lambda cfg: cfg.update(grid=None),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_config_is_config_error(tmp_path, capsys, monkeypatch,
+                                          edit):
+    # each used to exit 1 with a traceback
+    import attnmv.cli
+    monkeypatch.setattr(attnmv.cli, "solve", None)
+    cfgp = short_config(tmp_path)
+    if isinstance(edit, str):
+        cfgp.write_text(edit)
+    else:
+        cfg = json.loads(cfgp.read_text())
+        edit(cfg)
+        cfgp.write_text(json.dumps(cfg))
+    rc = main(["solve", "--config", str(cfgp),
+               "--output-dir", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"config error: config file {cfgp}" in err
+    assert "Traceback" not in err
+
+
 def run_edited(tmp_path, command, section, update, *flags):
     """Run ``command`` on the short config with ``section`` updated."""
     cfgp = short_config(tmp_path)

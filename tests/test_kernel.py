@@ -491,11 +491,19 @@ def test_sweep_sees_weight_moved_between_outcomes(m, src, dst, monkeypatch):
     def shifted(o, p):
         return p - 1e-6 if o == src else p + 1e-6 if o == dst else p
 
-    maxima = attnmv.kernel._moment_maxima
+    wealth_rows = attnmv.kernel._wealth_rows
+    belief_rows = attnmv.kernel._belief_rows
     raw = ref.coefficients
 
-    def moved_maxima(planes, *args):
-        return maxima([(o, shifted(o, p)) for o, p in planes], *args)
+    def moved_wealth_rows(*args):
+        w = wealth_rows(*args)
+        return w._replace(up=shifted(1, w.up), down=shifted(2, w.down))
+
+    def moved_belief_rows(*args):
+        rows = belief_rows(*args)
+        planes = [shifted(o, rows.raw[:, o - 3])
+                  for o in range(3, rows.raw.shape[1] + 3)]
+        return rows._replace(raw=np.stack(planes, axis=1))
 
     def moved_raw(*args):
         probs, *rest = raw(*args)
@@ -503,7 +511,8 @@ def test_sweep_sees_weight_moved_between_outcomes(m, src, dst, monkeypatch):
         probs[:, dst] += 1e-6
         return (probs, *rest)
 
-    monkeypatch.setattr(attnmv.kernel, "_moment_maxima", moved_maxima)
+    monkeypatch.setattr(attnmv.kernel, "_wealth_rows", moved_wealth_rows)
+    monkeypatch.setattr(attnmv.kernel, "_belief_rows", moved_belief_rows)
     monkeypatch.setattr(ref, "coefficients", moved_raw)
     mdl = piecewise_model(m)
     lat = build_grid(SMALL, m)
@@ -513,6 +522,39 @@ def test_sweep_sees_weight_moved_between_outcomes(m, src, dst, monkeypatch):
     ref_mean, ref_second = reference_deviations(mdl, lat, 0.0, SMALL_U,
                                                 SMALL_PI)
     assert rep.mean_dev == pytest.approx(ref_mean.max(), rel=1e-12)
+    assert rep.second_dev == pytest.approx(ref_second.max(), rel=1e-12)
+
+
+def test_sweep_sees_a_moved_belief_cross_moment(monkeypatch):
+    # moving weight w from +-(e1+e2) to +-(e1-e2) keeps every mean and
+    # every diagonal second moment and lowers only E[d1 d2], by 4 w h1^2
+    moves = {7: -1e-2, 8: -1e-2, 9: 1e-2, 10: 1e-2}
+    belief_rows = attnmv.kernel._belief_rows
+    raw = ref.coefficients
+
+    def moved_belief_rows(*args):
+        rows = belief_rows(*args)
+        moved = rows.raw.copy()
+        for o, dw in moves.items():
+            moved[:, o - 3] += dw
+        return rows._replace(raw=moved)
+
+    def moved_raw(*args):
+        probs, *rest = raw(*args)
+        for o, dw in moves.items():
+            probs[:, o] += dw
+        return (probs, *rest)
+
+    mdl = piecewise_model(3)
+    before = consistency_sweep(mdl, build_grid(SMALL, 3), 0.0, SMALL_U,
+                               SMALL_PI)
+    monkeypatch.setattr(attnmv.kernel, "_belief_rows", moved_belief_rows)
+    monkeypatch.setattr(ref, "coefficients", moved_raw)
+    lat = build_grid(SMALL, 3)
+    rep = consistency_sweep(mdl, lat, 0.0, SMALL_U, SMALL_PI)
+    assert rep.mean_dev <= 1e-12
+    assert rep.second_dev > before.second_dev + 3e-2 * SMALL.h1 ** 2
+    _, ref_second = reference_deviations(mdl, lat, 0.0, SMALL_U, SMALL_PI)
     assert rep.second_dev == pytest.approx(ref_second.max(), rel=1e-12)
 
 

@@ -354,6 +354,29 @@ def test_ratio_policy(short_fields):
     assert w[node, 0] == pytest.approx(u / 2.0)
 
 
+def test_terminal_slice_has_nan_policy(short_fields):
+    _, spec, fields = short_fields
+    n_nodes, d = fields.lat.n_nodes, fields.grid.u_levels.shape[1]
+    u = fields.policy_u(spec.n_steps)
+    assert u.shape == (n_nodes, d) and np.isnan(u).all()
+    assert fields.policy_pi(spec.n_steps).shape == (n_nodes,)
+    assert np.isnan(fields.policy_pi(spec.n_steps)).all()
+    assert np.isnan(ratio_policy(fields, spec.n_steps)).all()
+
+
+def test_slice_checks_reject_a_foreign_model(short_fields):
+    # each read the cache's model and answered for it without a word
+    mdl, spec, fields = short_fields
+    cache = StencilCache(mdl, fields.lat, fields.grid)
+    other = mdl.with_cost(mdl.cost_coeff)
+    V0 = fields.V[0].copy()
+    for fn in (step_back, spike_margins, g_residuals):
+        with pytest.raises(ConfigError,
+                           match="stencil cache built for another model"):
+            fn(other, fields, 0, cache)
+    assert np.array_equal(fields.V[0], V0) and cache.batches == {}
+
+
 def three_regime_model(**overrides):
     cfg = dict(m=3, generator=[[-2.0, 1.0, 1.0], [0.5, -1.0, 0.5],
                                [1.0, 1.5, -2.5]],
