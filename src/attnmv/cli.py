@@ -161,8 +161,12 @@ def _eval_point(cfg: RunConfig, spec: GridSpec, *, refine: bool = False):
             cfg.eval_slice(spec, refine=refine))
 
 
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v]
+def _floats(text: str, flag: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",") if v]
+    except ValueError as err:
+        raise ConfigError(f"--{flag}: bad number list {text!r}; expected "
+                          "comma-separated numbers") from err
 
 
 def _parse_ladder(text: str) -> list[tuple[float, float]]:
@@ -187,8 +191,9 @@ _FLAGS = (
     ("seed", "seed", {"type": int}, lambda v: as_int(v, "seed")),
     ("h1", "h1", {"type": float}, float), ("h2", "h2", {"type": float}, float),
     ("paths", "n_paths", {"type": int}, lambda v: as_int(v, "paths")),
-    ("slice_times", "slice_times", {"type": str}, _floats),
-    ("sweep_k", "sweep_k", {"type": str}, _floats),
+    ("slice_times", "slice_times", {"type": str},
+     lambda v: _floats(v, "slice-times")),
+    ("sweep_k", "sweep_k", {"type": str}, lambda v: _floats(v, "sweep-k")),
     ("ladder", "ladder", {"type": str}, _parse_ladder),
     ("debug_stencils", "debug_stencils", {"action": "store_true"}, bool),
     ("policy_override", "policy_override", {"type": str}, Path),

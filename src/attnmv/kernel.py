@@ -34,9 +34,9 @@ of ``build_stencil_batch``.
 
 Only the wealth rows change between coefficient epochs: the riskfree
 rate, drift and volatility carry the time breaks.  Whatever several builds
-share is kept read-only in one memo per lattice (``_memo``), which holds
-the last value of each named term and builds it again when the term's key,
-made of the bytes of its inputs, changes:
+share is kept read-only in one memo per lattice (``lat.memo``, through
+``_memo``), which holds the last value of each named term and builds it
+again when the term's key, made of the bytes of its inputs, changes:
 
 * ``rows``, keyed by the attention levels, the generator, the signal
   levels and the cost coefficient: the belief rows (belief-diagonal and
@@ -75,7 +75,6 @@ sum has the bits of that array reduction.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -104,18 +103,14 @@ def _index_sum(planes):
     return total
 
 
-# Per lattice, the last value of each named term and the key it was built
-# with: {lat: {name: (key, value)}}
-_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _memo(lat: Lattice, name: str, key, build):
     """Term ``name`` of ``lat`` for ``key``; ``build()`` makes it on a miss.
 
-    The value it replaces is dropped first, so the two are never held
-    together.
+    ``lat.memo`` holds ``{name: (key, value)}``, the last value of each
+    term and the key it was built with.  The value it replaces is dropped
+    first, so the two are never held together.
     """
-    terms = _MEMO.setdefault(lat, {})
+    terms = lat.memo
     entry = terms.get(name)
     if entry is not None and entry[0] == key:
         return entry[1]

@@ -117,8 +117,12 @@ class Lattice:
     iphi : (n_nodes, m-1) belief indices
     neighbors : (n_nodes, n_outcomes) destination node per outcome,
         after boundary projection
+    neighbors_t : (n_outcomes, n_nodes) the same table outcome-major and
+        C-contiguous, the layout the solver gathers through
     clamped : (n_nodes, n_outcomes) bool, True where the raw displacement
         left the grid and was projected
+    memo : the kernel's read-only terms shared by every build on this
+        lattice, ``{name: (key, value)}``
     """
 
     def __init__(self, spec: GridSpec, m: int):
@@ -156,6 +160,8 @@ class Lattice:
             [[dx] + list(dphi) for dx, dphi in self.offsets], dtype=np.float64) * h1
 
         self.neighbors, self.clamped = self._build_neighbors()
+        self.neighbors_t = np.ascontiguousarray(self.neighbors.T)
+        self.memo: dict = {}
 
     @staticmethod
     def _enumerate_simplex(work, pos, budget, out):

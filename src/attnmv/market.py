@@ -13,7 +13,9 @@ single row (constant coefficients).  Regimes are indexed ``0 .. m-1``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -178,11 +180,16 @@ class RegimeModel:
     def n_epochs(self) -> int:
         return len(self.time_breaks)
 
+    @cached_property
+    def _breaks(self) -> list[float]:
+        """``time_breaks`` as a list, for the bisection in ``epoch_of``."""
+        return self.time_breaks.tolist()
+
     def epoch_of(self, t: float) -> int:
         """Index of the coefficient epoch containing time ``t``."""
         if not (-1e-12 <= t <= self.T + 1e-12):
             raise DomainError(f"time {t} outside [0, {self.T}]")
-        return int(np.searchsorted(self.time_breaks, t, side="right") - 1) if t > 0 else 0
+        return bisect_right(self._breaks, t) - 1 if t > 0 else 0
 
     def riskfree_at(self, t: float) -> FloatArray:
         """(m,) bond rate per regime at time ``t``."""
@@ -247,15 +254,17 @@ def validate_model(model: RegimeModel) -> list[str]:
     if model.vol.shape != (model.n_epochs, m, d, d):
         out.append("vol table: wrong shape")
     else:
-        for e in range(model.n_epochs):
-            for i in range(m):
-                s = model.vol[e, i]
-                a = s @ s.T
-                try:
-                    np.linalg.cholesky(a)
-                except np.linalg.LinAlgError:
-                    out.append(f"vol(epoch {e}, regime {i}): "
-                               "degenerate diffusion, vol*vol^T not positive definite")
+        try:        # every epoch and regime at once; the loop names the bad ones
+            np.linalg.cholesky(model.vol @ np.swapaxes(model.vol, -1, -2))
+        except np.linalg.LinAlgError:
+            for e in range(model.n_epochs):
+                for i in range(m):
+                    s = model.vol[e, i]
+                    try:
+                        np.linalg.cholesky(s @ s.T)
+                    except np.linalg.LinAlgError:
+                        out.append(f"vol(epoch {e}, regime {i}): degenerate "
+                                   "diffusion, vol*vol^T not positive definite")
     if model.time_breaks.ndim != 1 or model.time_breaks[0] != 0.0 or \
             np.any(np.diff(model.time_breaks) <= 0):
         out.append("time_breaks must be strictly increasing and start at 0.0")

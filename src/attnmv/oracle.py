@@ -365,7 +365,8 @@ def _chain_law(fields: SolutionFields, start_node: int,
     (hit if edge[start_node] else clear)[start_node] = 1.0
     for n in range(fields.spec.n_steps):
         batch = cache.batch(fields.time_of(n))
-        sel = _select(batch.probs, fields.policy[n]).T    # (n_nodes, n_out)
+        sel = _select(batch.probs, fields.policy[n],
+                      cache.law_index).T                  # (n_nodes, n_out)
         clear, hit = (np.bincount(to, (sel * p[:, None]).ravel(), lat.n_nodes)
                       for p in (clear, hit))
         hit[edge] += clear[edge]

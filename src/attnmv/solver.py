@@ -16,6 +16,13 @@ From ``V_N = J(x, 0)`` and ``g_N = x`` this gives ``V = J(g, h - g^2)``,
 ``h`` the conditional second moment of terminal wealth.  The sweep and the
 one-step ("spike") check read the same ``_candidates`` table from the same
 cached batch, so a solved run's spike margin is exactly zero.
+
+Every per-slice contraction gathers ``V`` and ``g`` through the lattice's
+outcome-major neighbour table ``neighbors_t`` (``(n_out, n_nodes)``, nodes
+contiguous) and reduces ``(n_out, n_nodes)`` planes over the outcomes.
+With these operands einsum's inner loop runs over contiguous nodes, while
+each sum still adds the outcomes one after another in index order: the
+bits are those of the node-major contraction.
 """
 
 from __future__ import annotations
@@ -144,13 +151,16 @@ def _candidates(cache: StencilCache, batch: StencilBatch, V_next: FloatArray,
 
     ``Var_c`` is taken of ``g`` minus the node's own value: the same
     variance with small squares, so a pure stay scores exactly ``s V``.
+    The gathered planes are outcome-major ``(n_out, n)``, so the einsums'
+    inner loop runs over contiguous nodes and adds the outcomes in index
+    order, the order of the node-major ``(n, n_out)`` contraction.
     """
     b = _variance_weight(cache.model)
-    nbr = cache.lat.neighbors
-    dg = g_next[nbr] - g_next[:, None]                          # (n, n_out)
-    cand = np.einsum("con,no->cn", batch.probs,
+    nbr = cache.lat.neighbors_t
+    dg = g_next[nbr] - g_next                                   # (n_out, n)
+    cand = np.einsum("con,on->cn", batch.probs,
                      np.sign(b) * V_next[nbr] + abs(b) * (dg * dg))
-    mean = np.einsum("con,no->cn", batch.probs, dg)
+    mean = np.einsum("con,on->cn", batch.probs, dg)
     cand -= abs(b) * (mean * mean)
     if not batch.valid.all():
         cand = np.where(batch.valid, cand, np.inf)
@@ -185,6 +195,8 @@ class StencilCache:
         self.lat = lat
         self.grid = grid
         self.u_arr, self.pi_arr = grid.enumerate()
+        self.law_index = np.arange(lat.n_out * lat.n_nodes).reshape(
+            lat.n_out, lat.n_nodes)                     # for ``_select``
         self.batches: dict[int, StencilBatch] = {}     # at most one epoch
         self.epochs: dict[int, EpochSummary] = {}      # by epoch index
 
@@ -196,18 +208,24 @@ class StencilCache:
             b = build_stencil_batch(
                 self.model, self.lat, t_epoch, self.u_arr, self.pi_arr)
             self.batches[e] = b
-            self.epochs.setdefault(e, EpochSummary(
-                b.max_mass, b.stay_residual, int((~b.valid).sum())))
+            if e not in self.epochs:
+                self.epochs[e] = EpochSummary(
+                    b.max_mass, b.stay_residual, int((~b.valid).sum()))
         return self.batches[e]
 
 
-def _select(probs: FloatArray, idx: np.ndarray) -> FloatArray:
+def _select(probs: FloatArray, idx: np.ndarray,
+            law_index: np.ndarray) -> FloatArray:
     """probs (n_c, n_out, n) selected per node -> (n_out, n), C-contiguous.
 
-    The layout matters: the ``g`` einsum sums a transposed view in
-    another order.
+    ``law_index`` is ``arange(n_out * n).reshape(n_out, n)``, the flat
+    index of control 0's law, so one flat ``take`` gives entry ``(o, j)``
+    as ``probs[idx[j], o, j]``.  The layout matters: against the
+    outcome-major gather of ``g`` the ``g`` einsum runs over contiguous
+    nodes and adds the outcomes in index order; a transposed view would
+    be summed in another order.
     """
-    return np.ascontiguousarray(probs[idx, :, np.arange(len(idx))].T)
+    return probs.take(law_index + idx * law_index.size)
 
 
 def _slice_batch(model: RegimeModel, fields: SolutionFields, n: int,
@@ -244,8 +262,9 @@ def step_back(model: RegimeModel, fields: SolutionFields, n: int,
             node=bad, shrink=shrink)
     fields.V[n] = np.sign(_variance_weight(cache.model)) * best
     fields.policy[n] = idx.astype(np.int32)
-    probs_sel = _select(batch.probs, idx)
-    fields.g[n] = np.einsum("on,no->n", probs_sel, fields.g[n + 1][lat.neighbors])
+    probs_sel = _select(batch.probs, idx, cache.law_index)
+    fields.g[n] = np.einsum("on,on->n", probs_sel,
+                             fields.g[n + 1][lat.neighbors_t])
     if fields.clamped_mass.size:
         fields.clamped_mass[n] = float(
             (probs_sel * lat.clamped.T).sum() / lat.n_nodes)
@@ -318,8 +337,9 @@ def g_residuals(model: RegimeModel, fields: SolutionFields, n: int,
     """|g_n - stencil average of g_{n+1} under the stored policy| per node."""
     lat = fields.lat
     batch = _slice_batch(model, fields, n, cache)
-    probs_sel = _select(batch.probs, fields.policy[n])
-    expect = np.einsum("on,no->n", probs_sel, fields.g[n + 1][lat.neighbors])
+    probs_sel = _select(batch.probs, fields.policy[n], cache.law_index)
+    expect = np.einsum("on,on->n", probs_sel,
+                       fields.g[n + 1][lat.neighbors_t])
     return np.abs(fields.g[n] - expect)
 
 

@@ -399,6 +399,21 @@ def test_bad_step_or_time_is_config_error(tmp_path, capsys, flags, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["solve", "--slice-times", "a"], "--slice-times: bad number list 'a'"),
+    (["sweep-k", "--sweep-k", "0.1,x"], "--sweep-k: bad number list '0.1,x'"),
+], ids=["solve-slice-times", "sweep-k"])
+def test_bad_number_list_is_config_error(tmp_path, capsys, flags, message):
+    # a bare ValueError used to escape main, exit 1 with a traceback
+    cfgp = short_config(tmp_path)
+    rc = main([*flags, "--config", str(cfgp),
+               "--output-dir", str(tmp_path / "s")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"config error: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_k_rejects_non_finite_cost_before_any_solve(tmp_path, capsys,
                                                           monkeypatch):
     # k = nan used to fail the third solve with a scheme error (exit 3)

@@ -22,6 +22,37 @@ def test_validate_rejects_degenerate_vol():
     mdl = example_model(vol=[[[0.0]], [[0.0]]])
     msgs = validate_model(mdl)
     assert any("degenerate diffusion" in m for m in msgs)
+    # one degenerate epoch and regime in the middle of a long table: the
+    # stacked check fails and the message names exactly that pair
+    n = 200
+    vol = np.tile(np.array([[[0.20]], [[0.35]]]), (n, 1, 1, 1))
+    vol[117, 1] = 0.0
+    long = example_model(vol={"times": (np.arange(n) * 0.01).tolist(),
+                              "values": vol.tolist()})
+    assert validate_model(long) == [
+        "vol(epoch 117, regime 1): degenerate diffusion, vol*vol^T not "
+        "positive definite"]
+    vol[117, 1] = 0.35
+    assert validate_model(replace(long, vol=vol)) == []
+
+
+def test_epoch_of_matches_searchsorted():
+    rng = np.random.default_rng(5)
+    breaks = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, 40))])
+    vol = [[[[0.20]], [[0.35]]]] * len(breaks)
+    mdl = example_model(vol={"times": breaks.tolist(), "values": vol})
+    times = np.concatenate([breaks, rng.uniform(0.0, 2.0, 500),
+                            [2.0, 1e-300, -1e-13],
+                            np.nextafter(breaks, -1.0)[1:],
+                            np.nextafter(breaks, 3.0)])
+    for t in times:
+        want = int(np.searchsorted(breaks, t, side="right") - 1) if t > 0 else 0
+        assert mdl.epoch_of(float(t)) == want
+        assert mdl.epoch_of(t) == want
+    with pytest.raises(DomainError):
+        mdl.epoch_of(2.0 + 1e-9)
+    with pytest.raises(DomainError):
+        mdl.epoch_of(-1e-9)
 
 
 def test_validate_rejects_negative_offdiagonal():

@@ -513,8 +513,33 @@ def test_select_matches_take_along_axis():
         probs = rng.random((n_c, n_out, n))
         for dtype in (np.int64, np.int32):
             idx = rng.integers(n_c, size=n).astype(dtype)
-            got = _select(probs, idx)
+            got = _select(probs, idx,
+                          np.arange(n_out * n).reshape(n_out, n))
             want = np.take_along_axis(probs, idx[None, None, :], axis=0)[0]
             assert got.flags.c_contiguous
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def test_outcome_major_contractions_keep_the_bits():
+    # the solver gathers through the outcome-major table, so einsum's inner
+    # loop runs over contiguous nodes; it still adds the outcomes in index
+    # order, so each sum has the bits of the node-major contraction
+    rng = np.random.default_rng(26)
+    shapes = [(1, 1, 1), (25, 5, 1), (3, 15, 1), (25, 5, 126), (105, 9, 401)]
+    shapes += [(int(rng.integers(1, 30)), int(rng.integers(1, 16)),
+                int(rng.integers(1, 401))) for _ in range(80)]
+    for n_c, n_out, n in shapes:
+        probs = rng.random((n_c, n_out, n)) \
+            * 10.0 ** rng.uniform(-8, 8, (n_c, n_out, n))
+        plane = rng.standard_normal((n, n_out)) \
+            * 10.0 ** rng.uniform(-8, 8, (n, n_out))
+        plane_t = np.ascontiguousarray(plane.T)
+        want = np.einsum("con,no->cn", probs, plane)
+        got = np.einsum("con,on->cn", probs, plane_t)
+        assert got.tobytes() == want.tobytes(), (n_c, n_out, n)
+        sel = _select(probs, rng.integers(n_c, size=n),
+                      np.arange(n_out * n).reshape(n_out, n))
+        want = np.einsum("on,no->n", sel, plane)
+        got = np.einsum("on,on->n", sel, plane_t)
+        assert got.tobytes() == want.tobytes(), (n_c, n_out, n)
